@@ -417,14 +417,23 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-def gamma_search(A, B, B_w, C, bracket: tuple[float, float], tol: float = 1e-6) -> float:
+def gamma_search(
+    A,
+    B,
+    B_w,
+    C,
+    bracket: tuple[float, float],
+    tol: float = 1e-6,
+    history: list | None = None,
+) -> float:
     """Bisect the attenuation level down to the feasibility boundary.
 
     Feasibility means solve_care returns a verified solution; both failure
     modes (axis eigenvalues and indefinite roots) count as infeasible.
     Assumes feasibility is monotone in gamma.  If the lower bracket end is
     itself feasible the search returns it unchanged (e.g. B_w = 0, where
-    every positive level is feasible).
+    every positive level is feasible).  When `history` is a list, each
+    probe appends `(gamma, feasible)` to it in order.
 
     Raises:
         BracketInvalid: malformed bracket, or an infeasible upper end.
@@ -437,8 +446,12 @@ def gamma_search(A, B, B_w, C, bracket: tuple[float, float], tol: float = 1e-6) 
         try:
             solve_care(CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=gamma))
         except (NoStabilizingSolution, IndefiniteSolution):
-            return False
-        return True
+            ok = False
+        else:
+            ok = True
+        if history is not None:
+            history.append((gamma, ok))
+        return ok
 
     if not feasible(hi):
         raise BracketInvalid(f"upper bracket end gamma={hi} is infeasible")

@@ -43,17 +43,38 @@ def _fail(code: str, message: str, status: int) -> int:
     return status
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def _atomic_write(path: str, write) -> None:
+    """Create `path` through `write(tmp_path)`, a temp file and a rename.
+
+    The file gets the mode a plain `open` would give it (0o666 less the
+    umask).  If `write` raises, the temp file is removed and `path` is
+    left as it was.
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        write(tmp)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+
+    _atomic_write(path, write)
 
 
 def _atomic_write_json(path: str, payload) -> None:
@@ -314,15 +335,7 @@ def _cmd_simulate(args) -> int:
     trace, metrics = simulator.simulate(scenario)
 
     trace_path = os.path.join(out, "trace.csv")
-    fd, tmp = tempfile.mkstemp(dir=out, prefix=".tmp-", suffix=".part")
-    os.close(fd)
-    try:
-        simulator.write_trace_csv(trace, tmp)
-        os.replace(tmp, trace_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(trace_path, lambda tmp: simulator.write_trace_csv(trace, tmp))
     metrics_path = os.path.join(out, "metrics.json")
     _atomic_write_json(metrics_path, simulator.metrics_to_dict(metrics))
     print(f"wrote {trace_path}")
@@ -351,35 +364,13 @@ def _cmd_gamma_search(args) -> int:
         raise ConfigError("gamma bracket must be [lo, hi]")
     lo, hi = float(bracket[0]), float(bracket[1])
     tol = args.tol if args.tol is not None else float(config.get("tol", 1e-6))
+    if tol <= 0.0:
+        raise ConfigError("tol must be positive")
 
     history: list[tuple[float, bool]] = []
-
-    def probe(gamma: float) -> bool:
-        try:
-            care_solver.solve_care(
-                care_solver.CareProblem(
-                    A=plant.A, B=plant.B, B_w=plant.B_w, C=design.C_perf, gamma=gamma
-                )
-            )
-        except (care_solver.NoStabilizingSolution, care_solver.IndefiniteSolution):
-            history.append((gamma, False))
-            return False
-        history.append((gamma, True))
-        return True
-
-    if not probe(hi):
-        raise care_solver.BracketInvalid(f"upper bracket end gamma={hi} is infeasible")
-    if probe(lo):
-        gamma_min = lo
-    else:
-        while (hi - lo) > tol * hi:
-            mid = 0.5 * (lo + hi)
-            if probe(mid):
-                hi = mid
-            else:
-                lo = mid
-        gamma_min = hi
-
+    gamma_min = care_solver.gamma_search(
+        plant.A, plant.B, plant.B_w, design.C_perf, (lo, hi), tol=tol, history=history
+    )
     print("bisection history (gamma, feasible):")
     for gamma, ok in history:
         print(f"  {gamma:.9g}  {'feasible' if ok else 'infeasible'}")

@@ -25,6 +25,8 @@ pure Python.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,19 +156,6 @@ class Noise:
             raise ValueError("hold must be positive")
 
 
-_NOISE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _noise_samples(seed: int, count: int) -> np.ndarray:
-    """First `count` uniform(-1, 1) draws of the seeded stream, cached."""
-    cached = _NOISE_CACHE.get(seed)
-    if cached is None or len(cached) < count:
-        size = max(1024, 1 << int(count - 1).bit_length())
-        cached = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
-        _NOISE_CACHE[seed] = cached
-    return cached[:count]
-
-
 def _primitive_values(prim, t: np.ndarray) -> np.ndarray:
     if isinstance(prim, Step):
         return np.where(t >= prim.t0, prim.amplitude, 0.0)
@@ -176,8 +165,13 @@ def _primitive_values(prim, t: np.ndarray) -> np.ndarray:
         return prim.slope * np.maximum(t - prim.t0, 0.0)
     if isinstance(prim, Noise):
         idx = np.maximum(np.floor(t / prim.hold + 1e-9).astype(int), 0)
-        samples = _noise_samples(prim.seed, int(idx.max()) + 1)
-        return prim.amplitude * samples[idx]
+        first = int(idx.min())
+        # Each uniform draw consumes one step of the generator, so advancing
+        # by `first` skips exactly the draws before the window.
+        rng = np.random.default_rng(prim.seed)
+        rng.bit_generator.advance(first)
+        samples = rng.uniform(-1.0, 1.0, int(idx.max()) - first + 1)
+        return prim.amplitude * samples[idx - first]
     raise TypeError(f"unknown disturbance primitive {type(prim).__name__}")
 
 
@@ -658,23 +652,110 @@ def compute_metrics(trace: SimulationTrace, profile: CommandProfile) -> Metrics:
 
 _TRACE_HEADER = "t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"
 
+#: Rows formatted per block; a block of the paper-ltv trace is about 0.4 MB.
+_BLOCK_ROWS = 2048
+
+#: Blocks each worker may have in flight; bounds the text the writer holds.
+_BLOCKS_PER_WORKER = 2
+
+#: Trace columns in a forked worker; set by the pool initializer in the
+#: worker only, from the writer's memory shared through fork (no pickling).
+_worker_columns: list = []
+
+
+def _format_block(cols: list, start: int, stop: int) -> bytes:
+    """CSV text of rows start..stop-1: `repr` of each value, comma-joined."""
+    fields = [map(repr, col[start:stop].tolist()) for col in cols]
+    lines = map(",".join, zip(*fields))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _set_worker_columns(cols: list) -> None:
+    _worker_columns[:] = cols
+
+
+def _format_worker_block(start: int, stop: int) -> bytes:
+    return _format_block(_worker_columns, start, stop)
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; 1 where forking is unavailable or unsafe.
+
+    Forking a process that runs other threads can deadlock the child on a
+    lock one of those threads held, so such a process formats in process.
+    """
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _write_blocks_forked(handle, cols: list, bounds: list, workers: int) -> None:
+    """Format the blocks in forked workers and write them in order.
+
+    At most `workers * _BLOCKS_PER_WORKER` blocks are queued or finished
+    but not yet written.  A worker's exception is raised here.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pending: deque = deque()
+    executor = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_columns,
+        initargs=(cols,),
+    )
+    try:
+        for start, stop in bounds:
+            if len(pending) == workers * _BLOCKS_PER_WORKER:
+                handle.write(pending.popleft().result())
+            pending.append(executor.submit(_format_worker_block, start, stop))
+        while pending:
+            handle.write(pending.popleft().result())
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace with round-trip-exact decimal floats."""
+    """Write the trace with round-trip-exact decimal floats.
+
+    Each value is written as `repr(float(v))`.  Rows are formatted in
+    blocks; when the trace has two or more blocks and the process may run
+    on several CPUs, the blocks are formatted in that many forked workers
+    and written in order, with the same bytes as in process.
+    """
     cols = [
-        trace.t,
-        trace.x[:, 0],
-        trace.x[:, 1],
-        trace.x[:, 2],
-        trace.theta,
-        trace.q,
-        trace.delta,
-        trace.u,
-        trace.w[:, 0],
-        trace.w[:, 1],
-        trace.q_meas,
+        np.asarray(col, dtype=float)
+        for col in (
+            trace.t,
+            trace.x[:, 0],
+            trace.x[:, 1],
+            trace.x[:, 2],
+            trace.theta,
+            trace.q,
+            trace.delta,
+            trace.u,
+            trace.w[:, 0],
+            trace.w[:, 1],
+            trace.q_meas,
+        )
     ]
-    with open(path, "w", newline="") as handle:
-        handle.write(_TRACE_HEADER + "\n")
-        for row in zip(*cols):
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    n_rows = len(cols[0])
+    bounds = [
+        (start, min(start + _BLOCK_ROWS, n_rows))
+        for start in range(0, n_rows, _BLOCK_ROWS)
+    ]
+    workers = _worker_count() if len(bounds) >= 2 else 1
+    with open(path, "wb") as handle:
+        handle.write((_TRACE_HEADER + "\n").encode("ascii"))
+        if workers > 1:
+            _write_blocks_forked(handle, cols, bounds, workers)
+        else:
+            for start, stop in bounds:
+                handle.write(_format_block(cols, start, stop))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from hinf_autopilot import care_solver, cli, simulator, vehicle_model
 from hinf_autopilot.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -181,6 +183,62 @@ class TestSimulate:
         assert outs[0] != outs[1]
 
 
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(previous)
+
+
+def short_simulate_config(tmp_path, t_span=(60.0, 62.0)) -> str:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": "paper-lti", "t_span": list(t_span), "dt": 1e-3}))
+    return str(config)
+
+
+class TestOutputFiles:
+    def test_modes_follow_umask(self, tmp_path, umask_022):
+        out = tmp_path / "out"
+        assert main(["synthesize", "--out", str(out)]) == EXIT_OK
+        assert main([
+            "simulate", "--config", short_simulate_config(tmp_path), "--out", str(out),
+        ]) == EXIT_OK
+        for name in ("trace.csv", "metrics.json", "synthesis.json"):
+            assert os.stat(out / name).st_mode & 0o777 == 0o644, name
+
+    def test_failed_write_leaves_nothing(self, tmp_path, umask_022):
+        path = tmp_path / "data.txt"
+
+        def write(tmp):
+            with open(tmp, "w") as handle:
+                handle.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(str(path), write)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_worker_failure_leaves_no_files(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        format_block = simulator._format_block
+
+        def fail_in_worker(cols, start, stop):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return format_block(cols, start, stop)
+
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_format_block", fail_in_worker)
+        out = tmp_path / "out"
+        # 10 001 rows: several blocks, so the forked writer runs.
+        config = short_simulate_config(tmp_path, t_span=(60.0, 70.0))
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            main(["simulate", "--config", config, "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+
 class TestGammaSearch:
     def test_prints_history_and_result(self, capsys):
         code = main([
@@ -193,6 +251,51 @@ class TestGammaSearch:
         assert "gamma_min = " in out
         value = float(out.rsplit("=", 1)[1])
         assert 0.0 < value <= 7.8
+
+    def test_history_is_the_library_search(self, capsys):
+        argv = ["gamma-search", "--design-time", "60", "--gamma", "20",
+                "--bracket", "0.1", "100", "--tol", "1e-4"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        design = cli._design_from_config({}, cli.build_parser().parse_args(argv))
+        plant = vehicle_model.assemble_pitch_plant(design.coeffs)
+        history = []
+        gamma_min = care_solver.gamma_search(
+            plant.A, plant.B, plant.B_w, design.C_perf, (0.1, 100.0), tol=1e-4,
+            history=history,
+        )
+        assert lines == (
+            ["bisection history (gamma, feasible):"]
+            + [f"  {g:.9g}  {'feasible' if ok else 'infeasible'}" for g, ok in history]
+            + [f"gamma_min = {gamma_min!r}"]
+        )
+        assert history[0] == (100.0, True) and history[1] == (0.1, False)
+
+    def test_reversed_bracket_is_rejected(self, capsys, monkeypatch):
+        raised = []
+        search = care_solver.gamma_search
+
+        def spy(*args, **kwargs):
+            try:
+                return search(*args, **kwargs)
+            except care_solver.BracketInvalid as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(care_solver, "gamma_search", spy)
+        code = main([
+            "gamma-search", "--design-time", "60", "--gamma", "20", "--bracket", "2", "1",
+        ])
+        assert code == EXIT_INFEASIBLE
+        assert len(raised) == 1
+        captured = capsys.readouterr()
+        assert "gamma_min" not in captured.out
+        assert "error=synthesis-infeasible" in captured.err
+
+    def test_non_positive_tol_is_config_error(self, capsys):
+        code = main(["gamma-search", "--design-time", "60", "--gamma", "20", "--tol", "0"])
+        assert code == EXIT_CONFIG
+        assert "tol must be positive" in capsys.readouterr().err
 
 
 class TestReproducePaper:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hinf_autopilot import simulator
 from hinf_autopilot.actuators_sensors import SERVO_RATE_LIMIT
 from hinf_autopilot.controller import design_point_t60, synthesize
 from hinf_autopilot.simulator import (
@@ -137,6 +139,28 @@ class TestDisturbanceSample:
         spec3 = DisturbanceSpec(channel1=(Noise(amplitude=0.3, seed=977, hold=0.1),))
         assert disturbance_sample(spec3, 0.55)[0] == early
         assert disturbance_sample(spec3, 123.4)[0] == late
+
+    def test_noise_window_equals_full_stream_slice(self):
+        # A window that starts late draws only its own samples; they must
+        # equal the same indices of the whole seeded stream.
+        hold = 2e-4
+        t = 60.0 + hold * np.arange(100_001)
+        spec = DisturbanceSpec(channel2=(Noise(amplitude=0.5, seed=123, hold=hold),))
+        state_before = dict(vars(simulator))
+        sizes_before = {name: len(value) for name, value in state_before.items()
+                        if isinstance(value, (dict, list, set))}
+        values = spec.sample_grid(t)[:, 1]
+        idx = np.floor(t / hold + 1e-9).astype(int)
+        assert idx[0] == 300_000
+        stream = np.random.default_rng(123).uniform(-1.0, 1.0, int(idx[-1]) + 1)
+        assert np.array_equal(values, 0.5 * stream[idx])
+        # No per-seed state kept in the module.
+        state_after = vars(simulator)
+        assert state_after.keys() == state_before.keys()
+        for name, value in state_before.items():
+            assert state_after[name] is value, name
+        for name, size in sizes_before.items():
+            assert len(state_after[name]) == size, name
 
 
 class TestSimulate:
@@ -374,6 +398,99 @@ class TestTraceCsv:
         assert np.array_equal(data[:, 0], trace.t)
         assert np.array_equal(data[:, 2], trace.x[:, 1])
         assert np.array_equal(data[:, 6], trace.delta)
+
+
+def reference_csv(trace: SimulationTrace) -> bytes:
+    """The trace CSV written one row at a time with `repr` of each value."""
+    cols = [trace.t, trace.x[:, 0], trace.x[:, 1], trace.x[:, 2], trace.theta,
+            trace.q, trace.delta, trace.u, trace.w[:, 0], trace.w[:, 1], trace.q_meas]
+    lines = ["t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def random_trace(n: int, seed: int = 0) -> SimulationTrace:
+    """Trace of n rows with values of every magnitude and a few special floats."""
+    rng = np.random.default_rng(seed)
+
+    def col(width=None):
+        shape = (n,) if width is None else (n, width)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        flat = values.reshape(-1)
+        flat[: min(4, flat.size)] = [-0.0, math.inf, -math.inf, math.nan][: min(4, flat.size)]
+        return values
+
+    return SimulationTrace(
+        t=60.0 + 2e-4 * np.arange(n), x=col(3), theta=col(), q=col(), delta=col(),
+        u=col(), w=col(2), q_meas=col(),
+    )
+
+
+class TestTraceCsvBytes:
+    @pytest.fixture
+    def forked_calls(self, monkeypatch):
+        """Count calls of the forked writer, with two workers available."""
+        calls = []
+        forked = simulator._write_blocks_forked
+
+        def spy(*args):
+            calls.append(args[-1])
+            return forked(*args)
+
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_write_blocks_forked", spy)
+        return calls
+
+    def test_one_row(self, tmp_path, forked_calls):
+        trace = random_trace(1)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
+        assert forked_calls == []
+
+    def test_short_simulated_trace(self, tmp_path, forked_calls):
+        trace, _ = simulate(quiet_scenario(
+            t_span=(60.0, 61.0),
+            disturbances=DisturbanceSpec(
+                channel1=(Noise(amplitude=0.05, seed=3, hold=1e-3),),
+                channel2=(Step(t0=60.2, amplitude=0.01),),
+            ),
+        ))
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
+        assert forked_calls == []
+
+    def test_long_trace_in_forked_workers(self, tmp_path, forked_calls):
+        n = 2 * simulator._BLOCK_ROWS + 123
+        trace = random_trace(n, seed=1)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert forked_calls == [2]
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
+
+    def test_in_process_and_forked_bytes_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK_ROWS", 256)
+        trace = random_trace(256 * 7 + 5, seed=2)
+        for workers, name in ((1, "inproc.csv"), (2, "two.csv"), (3, "three.csv")):
+            monkeypatch.setattr(simulator, "_worker_count", lambda w=workers: w)
+            write_trace_csv(trace, tmp_path / name)
+        inproc = (tmp_path / "inproc.csv").read_bytes()
+        assert inproc == reference_csv(trace)
+        assert (tmp_path / "two.csv").read_bytes() == inproc
+        assert (tmp_path / "three.csv").read_bytes() == inproc
+
+    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        format_block = simulator._format_block
+
+        def fail_in_worker(cols, start, stop):
+            if os.getpid() != parent:
+                raise RuntimeError(f"block {start} failed")
+            return format_block(cols, start, stop)
+
+        monkeypatch.setattr(simulator, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_format_block", fail_in_worker)
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            write_trace_csv(random_trace(1000), tmp_path / "trace.csv")
 
 
 class TestScenarioValidation:
