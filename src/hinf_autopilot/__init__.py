@@ -6,14 +6,6 @@ launch vehicle's pitch channel with a rate-limited thrust-vector servo and
 a rate gyro.
 """
 
-from .actuators_sensors import (
-    GyroState,
-    ServoState,
-    StepTooLarge,
-    gyro_step,
-    servo_step,
-    settled_gyro,
-)
 from .care_solver import (
     BracketInvalid,
     CareProblem,
@@ -34,7 +26,6 @@ from .controller import (
     ControllerGain,
     DesignPoint,
     calibrate_state_weight,
-    control_law,
     design_point_t60,
     design_point_t100,
     gain_from_solution,
@@ -46,7 +37,6 @@ from .simulator import (
     DisturbanceSpec,
     Metrics,
     Noise,
-    NonFiniteDerivative,
     NonFiniteState,
     Ramp,
     Scenario,
@@ -55,8 +45,6 @@ from .simulator import (
     Step,
     SynthesisFailed,
     compute_metrics,
-    disturbance_sample,
-    rk4_step,
     scenario_paper_lti,
     scenario_paper_ltv,
     simulate,
@@ -66,15 +54,12 @@ from .vehicle_model import (
     CommandProfile,
     DynamicCoefficients,
     PlantModel,
-    affine_forcing,
     assemble_pitch_plant,
     coefficients_at,
     default_command_profile,
     default_schedule,
     load_coefficient_schedule,
     load_command_profile,
-    pitch_derivative,
-    reconstruct_attitude,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Thrust-vector servo and rate-gyro blocks.
+"""Constants of the thrust-vector servo and the rate gyro.
 
 The servo is a first-order lag (time constant 0.1 s) whose commanded
 deflection rate is clamped to 25 deg/s before integration; the clamp acts
@@ -7,116 +7,24 @@ Euler is deliberate: the clamp makes the dynamics non-smooth, so a
 higher-order scheme buys nothing across the discontinuity.
 
 The gyro is the second-order filter with natural frequency 80*pi rad/s and
-damping 0.25, advanced with classical RK4 (smooth, moderately stiff); steps
-above 1 ms are refused to keep RK4 well inside its stability region.
+damping 0.25, advanced with classical RK4 (smooth, moderately stiff).
 
-Both blocks are pure state-in/state-out transitions on plain value types.
+Both blocks are stepped only inside the loop of `simulator.simulate`; this
+module holds their shipped parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 __all__ = [
-    "ServoState",
-    "GyroState",
-    "StepTooLarge",
     "SERVO_TIME_CONSTANT",
     "SERVO_RATE_LIMIT",
     "GYRO_NATURAL_FREQ",
     "GYRO_DAMPING_TERM",
-    "MAX_GYRO_STEP",
-    "servo_step",
-    "gyro_step",
-    "settled_gyro",
 ]
 
 SERVO_TIME_CONSTANT = 0.1
 SERVO_RATE_LIMIT = math.radians(25.0)
 GYRO_NATURAL_FREQ = 80.0 * math.pi
 GYRO_DAMPING_TERM = 40.0 * math.pi  # 2 * zeta * omega_n, i.e. zeta = 0.25
-MAX_GYRO_STEP = 1e-3
-
-
-class StepTooLarge(ValueError):
-    """Integration step exceeds the stability guard for the gyro dynamics."""
-
-
-@dataclass(frozen=True)
-class ServoState:
-    """Deflection of the thrust-vector servo, with its lag and rate bound."""
-
-    delta: float = 0.0
-    tau: float = SERVO_TIME_CONSTANT
-    rate_limit: float = SERVO_RATE_LIMIT
-
-    def __post_init__(self):
-        if not (self.tau > 0.0 and self.rate_limit > 0.0):
-            raise ValueError("tau and rate_limit must be positive")
-
-
-@dataclass(frozen=True)
-class GyroState:
-    """Rate-gyro filter state: x1 is the measured rate, x2 its derivative."""
-
-    x1: float = 0.0
-    x2: float = 0.0
-    omega_n: float = GYRO_NATURAL_FREQ
-    two_zeta_omega: float = GYRO_DAMPING_TERM
-
-
-def servo_step(state: ServoState, delta_c: float, dt: float) -> ServoState:
-    """Advance the servo one step toward the commanded deflection.
-
-    The unconstrained rate (delta_c - delta)/tau is clamped to the rate
-    bound before the forward-Euler update, so |d delta/dt| never exceeds
-    the limit.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    rate = (delta_c - state.delta) / state.tau
-    limit = state.rate_limit
-    if rate > limit:
-        rate = limit
-    elif rate < -limit:
-        rate = -limit
-    return replace(state, delta=state.delta + rate * dt)
-
-
-def gyro_step(state: GyroState, q_true: float, dt: float) -> GyroState:
-    """Advance the gyro filter one RK4 step with the true rate held constant."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > MAX_GYRO_STEP:
-        raise StepTooLarge(f"dt={dt} exceeds the {MAX_GYRO_STEP} s gyro step guard")
-    wn2 = state.omega_n * state.omega_n
-    damp = state.two_zeta_omega
-    x1, x2 = state.x1, state.x2
-
-    k1_1 = x2
-    k1_2 = wn2 * (q_true - x1) - damp * x2
-    y1 = x1 + 0.5 * dt * k1_1
-    y2 = x2 + 0.5 * dt * k1_2
-    k2_1 = y2
-    k2_2 = wn2 * (q_true - y1) - damp * y2
-    y1 = x1 + 0.5 * dt * k2_1
-    y2 = x2 + 0.5 * dt * k2_2
-    k3_1 = y2
-    k3_2 = wn2 * (q_true - y1) - damp * y2
-    y1 = x1 + dt * k3_1
-    y2 = x2 + dt * k3_2
-    k4_1 = y2
-    k4_2 = wn2 * (q_true - y1) - damp * y2
-
-    sixth = dt / 6.0
-    return replace(
-        state,
-        x1=x1 + sixth * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1),
-        x2=x2 + sixth * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2),
-    )
-
-
-def settled_gyro(q_true: float) -> GyroState:
-    """Gyro state pre-settled on a constant input (no startup transient)."""
-    return GyroState(x1=q_true, x2=0.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -100,6 +101,17 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _number(value, what: str) -> float:
+    """float(value) if it is finite, else a ConfigError naming the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 _WEIGHT_NAMES = {
     "measurement": controller.MEASUREMENT_WEIGHT,
     "identity": np.eye(3),
@@ -133,8 +145,8 @@ def _parse_weight(spec) -> np.ndarray:
         weight = np.atleast_2d(np.asarray(spec, dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid weighting matrix: {exc}") from exc
-    if weight.shape[1] != 3:
-        raise ConfigError("weighting matrix must have 3 columns")
+    if weight.ndim != 2 or weight.shape[1] != 3 or not np.all(np.isfinite(weight)):
+        raise ConfigError("weighting matrix must have 3 columns of finite entries")
     return weight
 
 
@@ -145,26 +157,28 @@ def _parse_disturbances(spec, seed_override: int | None) -> simulator.Disturbanc
         raise ConfigError("disturbances must be an object with channel1/channel2 lists")
     channels = []
     for name in ("channel1", "channel2"):
+        items = spec.get(name, [])
+        if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+            raise ConfigError(f"{name} must be a list of primitive objects, got {items!r}")
         prims = []
-        for item in spec.get(name, []):
+        for item in items:
             kind = item.get("type")
             if kind not in _PRIMITIVES:
                 raise ConfigError(f"unknown disturbance primitive type {kind!r}")
+            if kind == "noise" and seed_override is not None:
+                item = dict(item, seed=seed_override)
             try:
-                prim = _PRIMITIVES[kind](item)
+                prims.append(_PRIMITIVES[kind](item))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {kind} primitive in {name}: {exc}") from exc
-            if isinstance(prim, simulator.Noise) and seed_override is not None:
-                prim = simulator.Noise(
-                    amplitude=prim.amplitude, seed=seed_override, hold=prim.hold
-                )
-            prims.append(prim)
         channels.append(tuple(prims))
     return simulator.DisturbanceSpec(channel1=channels[0], channel2=channels[1])
 
 
 def _design_from_config(config: dict, args) -> controller.DesignPoint:
-    design_cfg = dict(config.get("design", {}))
+    design_cfg = config.get("design", {})
+    if not isinstance(design_cfg, dict):
+        raise ConfigError("design must be an object with t, gamma and weight")
     t_design = args.design_time if args.design_time is not None else design_cfg.get("t")
     gamma = args.gamma if args.gamma is not None else design_cfg.get("gamma")
     weight = _parse_weight(design_cfg.get("weight", "measurement"))
@@ -173,8 +187,8 @@ def _design_from_config(config: dict, args) -> controller.DesignPoint:
         return controller.design_point_t100(C_perf=weight)
     if t_design is None or gamma is None:
         raise ConfigError("design time and gamma must be given together")
-    t_design = float(t_design)
-    gamma = float(gamma)
+    t_design = _number(t_design, "design time")
+    gamma = _number(gamma, "gamma")
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
 
@@ -212,23 +226,23 @@ def _scenario_from_config(config: dict, args) -> simulator.Scenario:
         span = config["t_span"]
         if not (isinstance(span, (list, tuple)) and len(span) == 2):
             raise ConfigError("t_span must be a [t0, tf] pair")
-        overrides["t_span"] = (float(span[0]), float(span[1]))
+        overrides["t_span"] = (_number(span[0], "t_span"), _number(span[1], "t_span"))
     if args.dt is not None:
         overrides["dt"] = args.dt
     elif config.get("dt") is not None:
-        overrides["dt"] = float(config["dt"])
+        overrides["dt"] = _number(config["dt"], "dt")
 
     feedback = args.feedback or config.get("feedback")
     if feedback is not None:
         mapping = {"true": "true_state", "gyro": "gyro_rate"}
-        if feedback not in mapping:
+        if not isinstance(feedback, str) or feedback not in mapping:
             raise ConfigError(f"feedback must be 'true' or 'gyro', got {feedback!r}")
         overrides["feedback_source"] = mapping[feedback]
 
     plant_mode = args.plant_mode or config.get("plant_mode")
     if plant_mode is not None:
         mapping = {"ltv": "ltv", "lti": "lti_frozen", "lti_frozen": "lti_frozen"}
-        if plant_mode not in mapping:
+        if not isinstance(plant_mode, str) or plant_mode not in mapping:
             raise ConfigError(f"plant mode must be 'ltv' or 'lti', got {plant_mode!r}")
         overrides["plant_mode"] = mapping[plant_mode]
 
@@ -240,7 +254,7 @@ def _scenario_from_config(config: dict, args) -> simulator.Scenario:
         )
 
     if name is not None:
-        factory = simulator.BUILTIN_SCENARIOS.get(name)
+        factory = simulator.BUILTIN_SCENARIOS.get(name) if isinstance(name, str) else None
         if factory is None:
             raise ConfigError(
                 f"unknown scenario {name!r}; use one of {sorted(simulator.BUILTIN_SCENARIOS)}"
@@ -347,10 +361,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_norm(args) -> int:
     config = _load_config(args.config)
     system = _system_from_config(config, args)
-    tol = args.tol if args.tol is not None else float(config.get("tol", 1e-6))
+    tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
-    value = care_solver.hinf_norm(system, tol=tol)
+    try:
+        value = care_solver.hinf_norm(system, tol=tol)
+    except care_solver.UnstableSystem as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"hinf_norm = {value!r}")
     return EXIT_OK
 
@@ -360,10 +377,10 @@ def _cmd_gamma_search(args) -> int:
     design = _design_from_config(config, args)
     plant = vehicle_model.assemble_pitch_plant(design.coeffs)
     bracket = args.bracket or config.get("gamma_bracket") or (1e-3, 1e6)
-    if len(bracket) != 2:
+    if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
         raise ConfigError("gamma bracket must be [lo, hi]")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    tol = args.tol if args.tol is not None else float(config.get("tol", 1e-6))
+    lo, hi = (_number(end, "gamma bracket") for end in bracket)
+    tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
 
@@ -450,24 +467,17 @@ def _cmd_reproduce_paper(args) -> int:
     rows = []
     for name in ("paper-ltv", "paper-lti"):
         overrides = {} if args.dt is None else {"dt": args.dt}
-        scenario = simulator.BUILTIN_SCENARIOS[name](**overrides)
+        try:
+            scenario = simulator.BUILTIN_SCENARIOS[name](**overrides)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         _, metrics = simulator.simulate(scenario)
         rows.append((name, metrics))
     emit(f"{'metric':<28}" + "".join(f"{name:>18}" for name, _ in rows))
-    for key in (
-        "rms_e",
-        "max_abs_e",
-        "rms_theta_err",
-        "max_abs_delta",
-        "servo_saturation_fraction",
-        "energy_ratio",
-    ):
-        emit(
-            f"{key:<28}"
-            + "".join(f"{simulator.metrics_to_dict(m)[key]:>18.6g}" for _, m in rows)
-        )
-    ltv_rms = simulator.metrics_to_dict(rows[0][1])["rms_e"]
-    lti_rms = simulator.metrics_to_dict(rows[1][1])["rms_e"]
+    tables = [simulator.metrics_to_dict(m) for _, m in rows]
+    for key in tables[0]:
+        emit(f"{key:<28}" + "".join(f"{table[key]:>18.6g}" for table in tables))
+    ltv_rms, lti_rms = (table["rms_e"] for table in tables)
     emit()
     emit(
         "Qualitative comparison (inspection only; the published disturbance "
@@ -556,9 +566,7 @@ def main(argv=None) -> int:
         return _fail("synthesis-infeasible", str(exc), EXIT_INFEASIBLE)
     except simulator.NonFiniteState as exc:
         return _fail("simulation-diverged", str(exc), EXIT_DIVERGED)
-    except ConfigError as exc:
-        return _fail("config-error", str(exc), EXIT_CONFIG)
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         return _fail("config-error", str(exc), EXIT_CONFIG)
 
 

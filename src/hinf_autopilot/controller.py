@@ -39,7 +39,6 @@ __all__ = [
     "REFERENCE_X_T60",
     "REFERENCE_GAIN_T60",
     "gain_from_solution",
-    "control_law",
     "synthesize",
     "design_point_t100",
     "design_point_t60",
@@ -140,12 +139,6 @@ def gain_from_solution(B, X) -> ControllerGain:
     if X.shape[0] != X.shape[1]:
         raise ShapeError(f"X must be square, got {X.shape}")
     return ControllerGain(K=B.T @ X)
-
-
-def control_law(gain: ControllerGain, x) -> float:
-    """Deflection command u = -K x (radians)."""
-    x = np.asarray(x, dtype=float)
-    return float(-(gain.K @ x)[0])
 
 
 def synthesize(design: DesignPoint) -> tuple[HinfSolution, ControllerGain]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .controller import (
     synthesize,
 )
 from .vehicle_model import (
+    _COEFF_NAMES,
     CoefficientSchedule,
     CommandProfile,
     default_command_profile,
@@ -63,9 +64,6 @@ __all__ = [
     "Metrics",
     "SynthesisFailed",
     "NonFiniteState",
-    "NonFiniteDerivative",
-    "rk4_step",
-    "disturbance_sample",
     "simulate",
     "compute_metrics",
     "default_disturbance",
@@ -82,7 +80,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 #: accuracy region (omega_n * dt ~ 0.05).
 DEFAULT_DT = 2e-4
 
-#: Hard cap on the step; above this the gyro block refuses to integrate.
+#: Hard cap on the step; Scenario refuses larger ones (the gyro's RK4 stability).
 MAX_DT = 1e-3
 
 
@@ -102,10 +100,6 @@ class NonFiniteState(RuntimeError):
         super().__init__(f"state became non-finite at t={time:.6g} s")
         self.time = time
         self.trace = trace
-
-
-class NonFiniteDerivative(RuntimeError):
-    """A derivative evaluation returned a non-finite value."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +148,8 @@ class Noise:
     def __post_init__(self):
         if self.hold <= 0.0:
             raise ValueError("hold must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _primitive_values(prim, t: np.ndarray) -> np.ndarray:
@@ -194,11 +190,6 @@ class DisturbanceSpec:
             for prim in prims:
                 out[:, j] += _primitive_values(prim, t)
         return out
-
-
-def disturbance_sample(spec: DisturbanceSpec, t: float) -> np.ndarray:
-    """Both channel values at one instant."""
-    return spec.sample_grid(np.array([float(t)]))[0]
 
 
 def default_disturbance() -> DisturbanceSpec:
@@ -310,42 +301,11 @@ class Metrics:
 
 
 def metrics_to_dict(metrics: Metrics) -> dict:
-    return {
-        "rms_e": metrics.rms_e,
-        "max_abs_e": metrics.max_abs_e,
-        "rms_theta_err": metrics.rms_theta_err,
-        "max_abs_delta": metrics.max_abs_delta,
-        "servo_saturation_fraction": metrics.servo_saturation_fraction,
-        "energy_ratio": metrics.energy_ratio,
-    }
+    return asdict(metrics)
 
 
 # ---------------------------------------------------------------------------
 # Integration
-
-
-def rk4_step(derivative, state, t: float, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of d(state)/dt = derivative(state, t).
-
-    Exogenous inputs must already be bound into `derivative` (zero-order
-    hold over the step).  Raises NonFiniteDerivative if any stage
-    evaluation is non-finite.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float)
-
-    def eval_stage(s, ts):
-        out = np.asarray(derivative(s, ts), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteDerivative(f"derivative non-finite at t={ts:.6g}")
-        return out
-
-    k1 = eval_stage(state, t)
-    k2 = eval_stage(state + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = eval_stage(state + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = eval_stage(state + dt * k3, t + dt)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _stage_grids(scenario: Scenario, n_steps: int):
@@ -360,23 +320,13 @@ def _stage_grids(scenario: Scenario, n_steps: int):
     iqc = np.asarray(profile.rate_integral(th), dtype=float)
 
     if scenario.plant_mode == "lti_frozen":
-        c = scenario.design.coeffs
         ones = np.ones_like(th)
-        coeff = {
-            "Z_v": c.Z_v * ones,
-            "Z_q": c.Z_q * ones,
-            "Z_theta": c.Z_theta * ones,
-            "Z_delta": c.Z_delta * ones,
-            "M_v": c.M_v * ones,
-            "M_q": c.M_q * ones,
-            "M_delta": c.M_delta * ones,
-        }
+        coeff = {name: getattr(scenario.design.coeffs, name) * ones for name in _COEFF_NAMES}
     else:
         times = scenario.schedule.times
         table = scenario.schedule.table()
-        names = ("Z_v", "Z_q", "Z_theta", "Z_delta", "M_v", "M_q", "M_delta")
         coeff = {
-            name: np.interp(th, times, table[:, j]) for j, name in enumerate(names)
+            name: np.interp(th, times, table[:, j]) for j, name in enumerate(_COEFF_NAMES)
         }
 
     f2 = dqc - coeff["M_q"] * qc
@@ -553,7 +503,7 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
         nx1 = m10 * x0 + m11 * x1 + m12 * x2 + n1 * delta_new + p10 * w1 + p11 * w2 + q1
         nx2 = m20 * x0 + m21 * x1 + m22 * x2 + n2 * delta_new + p20 * w1 + p21 * w2 + q2
 
-        # Gyro RK4 on the true rate at t_k (same arithmetic as gyro_step).
+        # Gyro RK4 on the true rate at t_k (arithmetic of conftest's integrate_reference_gyro).
         qin = qc_k - x1
         ka1 = g2
         ka2 = wn2 * (qin - g1) - damp * g2
@@ -611,14 +561,17 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     )
     if diverged_at is not None:
         raise NonFiniteState(diverged_at, trace)
-    return trace, compute_metrics(trace, scenario.profile)
+    return trace, compute_metrics(trace, scenario.profile, scenario.servo_rate_limit)
 
 
-def compute_metrics(trace: SimulationTrace, profile: CommandProfile) -> Metrics:
+def compute_metrics(
+    trace: SimulationTrace, profile: CommandProfile, rate_limit: float = SERVO_RATE_LIMIT
+) -> Metrics:
     """Scalar summaries over one trace (trapezoid rule for the integrals).
 
     The servo saturation fraction counts steps whose deflection change hits
-    the rate bound; energy_ratio is the tracking-error output energy over
+    the rate bound `rate_limit` (rad/s; `simulate` passes the scenario's
+    servo_rate_limit); energy_ratio is the tracking-error output energy over
     the disturbance energy (zero when the run had no disturbance).
     """
     t = trace.t
@@ -633,7 +586,7 @@ def compute_metrics(trace: SimulationTrace, profile: CommandProfile) -> Metrics:
 
     d_delta = np.abs(np.diff(trace.delta))
     dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-    saturated = d_delta >= SERVO_RATE_LIMIT * dt * (1.0 - 1e-9)
+    saturated = d_delta >= rate_limit * dt * (1.0 - 1e-9)
     sat_fraction = float(saturated.mean()) if len(d_delta) else 0.0
 
     w_energy = float(_trapz(trace.w[:, 0] ** 2 + trace.w[:, 1] ** 2, t))

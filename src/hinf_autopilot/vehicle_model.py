@@ -43,9 +43,6 @@ __all__ = [
     "default_command_profile",
     "coefficients_at",
     "assemble_pitch_plant",
-    "affine_forcing",
-    "pitch_derivative",
-    "reconstruct_attitude",
     "load_coefficient_schedule",
     "load_command_profile",
 ]
@@ -251,45 +248,6 @@ def assemble_pitch_plant(coeffs: DynamicCoefficients) -> PlantModel:
     B_w = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     C_meas = np.array([[0.0, 1.0, 0.0]])
     return PlantModel(A=A, B=B, B_w=B_w, C_meas=C_meas)
-
-
-def affine_forcing(
-    coeffs: DynamicCoefficients, profile: CommandProfile, t: float
-) -> np.ndarray:
-    """Command-driven forcing [0, dq_c/dt - M_q q_c, Z_q q_c + Z_theta int q_c]."""
-    qc = profile.rate(t)
-    return np.array(
-        [
-            0.0,
-            profile.rate_derivative(t) - coeffs.M_q * qc,
-            coeffs.Z_q * qc + coeffs.Z_theta * profile.rate_integral(t),
-        ]
-    )
-
-
-def pitch_derivative(
-    x, u: float, w, coeffs: DynamicCoefficients, profile: CommandProfile, t: float
-) -> np.ndarray:
-    """State derivative A x + B u + B_w w + forcing at time t."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    plant = assemble_pitch_plant(coeffs)
-    return (
-        plant.A @ x
-        + plant.B[:, 0] * float(u)
-        + plant.B_w @ w
-        + affine_forcing(coeffs, profile, t)
-    )
-
-
-def reconstruct_attitude(
-    profile: CommandProfile, x, t: float
-) -> tuple[float, float]:
-    """(theta, q) from the tracking state: q = q_c - e, theta = int q_c - int_e."""
-    x = np.asarray(x, dtype=float)
-    q = profile.rate(t) - x[1]
-    theta = profile.rate_integral(t) - x[0]
-    return float(theta), float(q)
 
 
 _SCHEDULE_HEADER = ["t", "Zv", "Zq", "Ztheta", "Zdelta", "Mv", "Mq", "Mdelta"]

@@ -5,16 +5,30 @@ frequency-grid norm uses an eigendecomposition frequency response instead
 of the Hamiltonian bisection, the scalar Riccati oracle is the quadratic
 formula with an explicit root-classification case analysis, and reference
 integrations use their own stepping loops.
+
+The package steps the servo and gyro only inside `simulator.simulate`;
+`integrate_reference_servo` and `integrate_reference_gyro` are the models
+its traces are checked against, bitwise.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hinf_autopilot.simulator import BUILTIN_SCENARIOS, simulate
+from hinf_autopilot.controller import DesignPoint, design_point_t60
+from hinf_autopilot.simulator import (
+    BUILTIN_SCENARIOS,
+    DisturbanceSpec,
+    Scenario,
+    _stage_grids,
+    _step_updates,
+    simulate,
+)
+from hinf_autopilot.vehicle_model import CommandProfile, DynamicCoefficients
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +84,13 @@ def scalar_gamma_min_brute(a: float, b: float, bw: float, c: float, grid=None) -
     if idx == 0 or idx == len(grid):
         raise AssertionError("boundary not bracketed by the sweep grid")
     return float(math.sqrt(grid[idx - 1] * grid[idx]))
+
+
+def exact_product(b_entries, x_rows):
+    """Exact decimal B'X via Fraction arithmetic (independent oracle)."""
+    b = [Fraction(s) for s in b_entries]
+    x = [[Fraction(s) for s in row] for row in x_rows]
+    return np.array([float(sum(b[i] * x[i][j] for i in range(3))) for j in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +214,52 @@ def integrate_reference_gyro(x1, x2, q_of_t, dt, n_steps, wn, damp):
         x1 += dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
         x2 += dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
     return x1, x2
+
+
+# ---------------------------------------------------------------------------
+# Scenarios and the simulator's own one-step map.
+
+ZERO_PROFILE = CommandProfile(((0.0, 0.0),))
+ZERO_COEFFS = DynamicCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+#: Stiff frozen plant for the integrator-order checks: eigenvalues -96.7,
+#: -23.2 and -0.009 1/s, so |lambda| dt reaches 0.1 at dt = 1 ms.
+STIFF_COEFFS = DynamicCoefficients(
+    Z_v=-90.0, Z_q=900.0, Z_theta=-40.0, Z_delta=-3.0, M_v=0.5, M_q=-30.0, M_delta=-2.0
+)
+
+
+def quiet_scenario(**overrides) -> Scenario:
+    """Frozen-plant scenario with zero command and zero disturbance."""
+    return Scenario(**{
+        "design": design_point_t60(), "profile": ZERO_PROFILE, "disturbances": DisturbanceSpec(),
+        "t_span": (60.0, 70.0), "dt": 1e-3, "feedback_source": "true_state",
+        "plant_mode": "lti_frozen", **overrides,
+    })
+
+
+def frozen_plant_scenario(coeffs, dt, t_span=(0.0, 1e-3), profile=ZERO_PROFILE) -> Scenario:
+    """Quiet scenario whose plant is frozen at `coeffs`."""
+    design = DesignPoint(t_design=t_span[0], gamma=1.0, coeffs=coeffs)
+    return quiet_scenario(design=design, profile=profile, t_span=t_span, dt=dt)
+
+
+def production_step_map(scenario: Scenario):
+    """(M, N_u, P, q_f) of each step, from the precompute `simulate` runs.
+
+    One step of the simulation loop is x+ = M x + N_u delta + P w + q_f.
+    """
+    n_steps = max(1, int(round((scenario.t_span[1] - scenario.t_span[0]) / scenario.dt)))
+    coeff, _, f2, f3 = _stage_grids(scenario, n_steps)
+    s = _step_updates(scenario, n_steps, coeff, f2, f3)
+    return s[:, :9].reshape(-1, 3, 3), s[:, 9:12], s[:, 12:18].reshape(-1, 3, 2), s[:, 18:]
+
+
+def propagate(step_map, x, delta=0.0, w=(0.0, 0.0)):
+    """Apply each step of `step_map` in turn, deflection and disturbance held."""
+    for M, N_u, P, q_f in zip(*step_map):
+        x = M @ x + N_u * delta + P @ np.asarray(w) + q_f
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,25 @@ PASS lines.  Every tolerance is pinned here, not deferred.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import grid_norm_oracle, random_care_data, random_stable_system
+from conftest import (
+    STIFF_COEFFS,
+    exact_product,
+    frozen_plant_scenario,
+    grid_norm_oracle,
+    production_step_map,
+    propagate,
+    quiet_scenario,
+    random_care_data,
+    random_stable_system,
+)
 from hinf_autopilot.actuators_sensors import (
     GYRO_DAMPING_TERM,
     GYRO_NATURAL_FREQ,
@@ -45,10 +55,8 @@ from hinf_autopilot.simulator import (
     DisturbanceSpec,
     Noise,
     Ramp,
-    Scenario,
     Sine,
     Step,
-    rk4_step,
     simulate,
 )
 from hinf_autopilot.vehicle_model import CommandProfile, assemble_pitch_plant
@@ -56,14 +64,6 @@ from hinf_autopilot.vehicle_model import CommandProfile, assemble_pitch_plant
 
 def report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS  ({detail})")
-
-
-def exact_product(b_entries, x_rows):
-    b = [Fraction(s) for s in b_entries]
-    x = [[Fraction(s) for s in row] for row in x_rows]
-    return np.array(
-        [float(sum(b[i] * x[i][j] for i in range(3))) for j in range(3)]
-    )
 
 
 @pytest.fixture(scope="module")
@@ -242,25 +242,22 @@ def test_criterion_06_norm_computation():
 
 
 def test_criterion_07_integrator_order():
-    """RK4 endpoint error vs expm shrinks >= 12x per halving, 3 halvings."""
-    rng = np.random.default_rng(77)
-    A = rng.normal(size=(3, 3))
-    A -= (np.linalg.eigvals(A).real.max() + 1.0) * np.eye(3)
-    x0 = rng.normal(size=3)
-    horizon = 1.0
-    exact = scipy.linalg.expm(A * horizon) @ x0
+    """The simulator's RK4 step vs expm: error shrinks >= 12x per halving, 3 halvings.
 
-    errors = []
-    for dt in (0.05, 0.025, 0.0125, 0.00625):
-        x = x0.copy()
-        for k in range(int(round(horizon / dt))):
-            x = rk4_step(lambda s, t: A @ s, x, k * dt, dt)
-        errors.append(float(np.linalg.norm(x - exact)))
+    Measured on the propagators `simulate` precomputes for a stiff frozen plant.
+    """
+    x0 = np.random.default_rng(77).normal(size=3)
+    exact = scipy.linalg.expm(assemble_pitch_plant(STIFF_COEFFS).A * 0.05) @ x0
+    errors = [
+        float(np.linalg.norm(exact - propagate(production_step_map(
+            frozen_plant_scenario(STIFF_COEFFS, dt, (0.0, 0.05))), x0)))
+        for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4)
+    ]
     ratios = [errors[i] / errors[i + 1] for i in range(3)]
     assert all(r >= 12.0 for r in ratios)
     report(
         "7 (integrator order)",
-        "error ratios per halving " + ", ".join(f"{r:.1f}" for r in ratios),
+        "simulator step, error ratios per halving " + ", ".join(f"{r:.1f}" for r in ratios),
     )
 
 
@@ -286,15 +283,7 @@ def test_criterion_09_tracking_with_integral_action():
     profile = CommandProfile(
         ((60.0, 0.0), (62.0, 0.0), (64.0, -0.0015), (70.0, -0.0015), (72.0, 0.0))
     )
-    scenario = Scenario(
-        design=design_point_t60(),
-        profile=profile,
-        disturbances=DisturbanceSpec(),
-        t_span=(60.0, 600.0),
-        dt=1e-3,
-        feedback_source="true_state",
-        plant_mode="lti_frozen",
-    )
+    scenario = quiet_scenario(profile=profile, t_span=(60.0, 600.0))
     start = time.perf_counter()
     trace, _ = simulate(scenario)
     elapsed = time.perf_counter() - start
@@ -329,14 +318,8 @@ def test_criterion_10_time_domain_attenuation():
     }
     ratios = {}
     for name, primitive in cases.items():
-        scenario = Scenario(
-            design=design_point_t60(),
-            profile=CommandProfile(((0.0, 0.0),)),
-            disturbances=DisturbanceSpec(channel2=(primitive,)),
-            t_span=(60.0, 110.0),
-            dt=dt,
-            feedback_source="true_state",
-            plant_mode="lti_frozen",
+        scenario = quiet_scenario(
+            disturbances=DisturbanceSpec(channel2=(primitive,)), t_span=(60.0, 110.0), dt=dt
         )
         _, metrics = simulate(scenario)
         assert metrics.energy_ratio < 20.0**2
@@ -365,16 +348,7 @@ def test_criterion_11_substituted_checks(shipped_runs, capsys):
 
     # Step-size robustness: halving dt moves rms_e by less than 1%.
     _, metrics_full = simulate(scenario)
-    halved = Scenario(
-        design=scenario.design,
-        schedule=scenario.schedule,
-        profile=scenario.profile,
-        disturbances=scenario.disturbances,
-        t_span=scenario.t_span,
-        dt=scenario.dt / 2.0,
-        feedback_source=scenario.feedback_source,
-        plant_mode=scenario.plant_mode,
-    )
+    halved = dataclasses.replace(scenario, dt=scenario.dt / 2.0)
     _, metrics_halved = simulate(halved)
     drift = abs(metrics_full.rms_e - metrics_halved.rms_e) / metrics_halved.rms_e
     assert drift < 0.01

@@ -1,8 +1,11 @@
-"""Servo and gyro block behavior."""
+"""Servo and gyro blocks: simulate's traces against the conftest reference
+models, bitwise, and analytic cases on those models with the shipped constants.
+"""
 
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,90 +16,123 @@ from hinf_autopilot.actuators_sensors import (
     GYRO_NATURAL_FREQ,
     SERVO_RATE_LIMIT,
     SERVO_TIME_CONSTANT,
-    GyroState,
-    ServoState,
-    StepTooLarge,
-    gyro_step,
-    servo_step,
-    settled_gyro,
 )
+from hinf_autopilot.simulator import (
+    MAX_DT,
+    DisturbanceSpec,
+    Step,
+    scenario_paper_lti,
+    scenario_paper_ltv,
+    simulate,
+)
+
+
+def servo_once(delta, command, dt, tau=SERVO_TIME_CONSTANT, rate_limit=SERVO_RATE_LIMIT):
+    return integrate_reference_servo(delta, lambda t: command, dt, 1, tau, rate_limit)
+
+
+def gyro_once(x1, x2, q_true, dt):
+    return integrate_reference_gyro(
+        x1, x2, lambda t: q_true, dt, 1, GYRO_NATURAL_FREQ, GYRO_DAMPING_TERM
+    )
+
+
+def lti_scenario(**overrides):
+    return scenario_paper_lti(**{"t_span": (60.0, 65.0), "dt": 5e-4, **overrides})
 
 
 class TestServo:
     def test_equilibrium(self):
-        state = ServoState(delta=0.123)
-        assert servo_step(state, 0.123, 1e-3).delta == 0.123
+        assert servo_once(0.123, 0.123, 1e-3) == 0.123
 
     def test_small_step_first_order_response(self):
         # 0.01 rad command keeps the rate (0.1 rad/s) under the 0.4363 limit.
         dt = 1e-4
-        state = ServoState()
-        for _ in range(1000):
-            state = servo_step(state, 0.01, dt)
+        delta = integrate_reference_servo(
+            0.0, lambda t: 0.01, dt, 1000, SERVO_TIME_CONSTANT, SERVO_RATE_LIMIT
+        )
         analytic = 0.01 * (1.0 - math.exp(-1.0))
         # Forward-Euler truncation budget: 2 * dt * |rate|.
-        assert abs(state.delta - analytic) < 2.0 * dt * 0.1
-        assert state.delta == pytest.approx(0.006321, abs=2e-5)
+        assert abs(delta - analytic) < 2.0 * dt * 0.1
+        assert delta == pytest.approx(0.006321, abs=2e-5)
 
     def test_large_step_clamps(self):
-        state = servo_step(ServoState(), 0.1745, 1e-3)
-        assert state.delta == pytest.approx(SERVO_RATE_LIMIT * 1e-3, rel=1e-12)
-        assert state.delta == pytest.approx(4.363e-4, abs=5e-7)
+        delta = servo_once(0.0, 0.1745, 1e-3)
+        assert delta == pytest.approx(SERVO_RATE_LIMIT * 1e-3, rel=1e-12)
+        assert delta == pytest.approx(4.363e-4, abs=5e-7)
 
     def test_clamped_trajectory_matches_dense_reference(self):
         # 10 ms of a saturating command at dt=1e-3, against a dt=1e-6 run.
-        dt = 1e-3
-        state = ServoState()
-        for k in range(10):
-            state = servo_step(state, 0.1745, dt)
+        delta = 0.0
+        for _ in range(10):
+            delta = servo_once(delta, 0.1745, 1e-3)
         reference = integrate_reference_servo(
             0.0, lambda t: 0.1745, 1e-6, 10_000, SERVO_TIME_CONSTANT, SERVO_RATE_LIMIT
         )
         # While fully saturated both integrations advance at exactly the limit.
-        assert state.delta == pytest.approx(reference, rel=1e-9)
+        assert delta == pytest.approx(reference, rel=1e-9)
 
     def test_rate_bound_invariant(self):
         rng = np.random.default_rng(2)
         dt = 5e-4
-        state = ServoState()
-        prev = state.delta
+        delta = 0.0
         for _ in range(4000):
-            state = servo_step(state, float(rng.uniform(-0.5, 0.5)), dt)
-            assert abs(state.delta - prev) / dt <= SERVO_RATE_LIMIT + 1e-12
-            prev = state.delta
+            new = servo_once(delta, float(rng.uniform(-0.5, 0.5)), dt)
+            assert abs(new - delta) / dt <= SERVO_RATE_LIMIT + 1e-12
+            delta = new
 
     def test_dt_validation(self):
+        # The servo is stepped with the scenario's dt, which must be positive.
         with pytest.raises(ValueError):
-            servo_step(ServoState(), 0.0, 0.0)
+            lti_scenario(dt=0.0)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            ServoState(tau=-1.0)
+            lti_scenario(servo_tau=-1.0)
+        with pytest.raises(ValueError):
+            lti_scenario(servo_rate_limit=0.0)
+
+    @pytest.mark.parametrize("step, saturated", [(5.0, True), (0.0, False)])
+    def test_trace_is_the_reference_servo(self, step, saturated):
+        # Stepped over the trace's own commands, the reference servo gives the
+        # trace's deflection bitwise, at the rate bound (violent step
+        # disturbance) and away from it.
+        scenario = lti_scenario(
+            disturbances=DisturbanceSpec(channel2=(Step(t0=61.0, amplitude=step),))
+        )
+        trace, metrics = simulate(scenario)
+        assert (metrics.servo_saturation_fraction > 0.5) == saturated
+        assert np.abs(trace.delta).max() > 0.0
+        delta, u = trace.delta.tolist(), trace.u.tolist()
+        stepped = [servo_once(d, c, scenario.dt, scenario.servo_tau, scenario.servo_rate_limit)
+                   for d, c in zip(delta[:-1], u[:-1])]
+        assert stepped == delta[1:]
 
 
 class TestGyro:
     def test_damping_ratio(self):
-        state = GyroState()
-        assert state.two_zeta_omega / (2.0 * state.omega_n) == 0.25
+        assert GYRO_DAMPING_TERM / (2.0 * GYRO_NATURAL_FREQ) == 0.25
 
     def test_unit_dc_gain(self):
         dt = 2e-4
-        state = settled_gyro(0.0)
-        for _ in range(int(0.3 / dt)):  # far beyond the ~0.08 s settling time
-            state = gyro_step(state, 0.02, dt)
-        assert abs(state.x1 - 0.02) < 1e-9
+        x1, _ = integrate_reference_gyro(  # far beyond the ~0.08 s settling time
+            0.0, 0.0, lambda t: 0.02, dt, int(0.3 / dt), GYRO_NATURAL_FREQ,
+            GYRO_DAMPING_TERM,
+        )
+        assert abs(x1 - 0.02) < 1e-9
 
     def test_decay_from_offset(self):
         dt = 2e-4
-        state = GyroState(x1=0.01, x2=0.0)
-        for _ in range(int(0.2 / dt)):
-            state = gyro_step(state, 0.0, dt)
-        assert abs(state.x1) < 1e-6
+        x1, _ = integrate_reference_gyro(
+            0.01, 0.0, lambda t: 0.0, dt, int(0.2 / dt), GYRO_NATURAL_FREQ,
+            GYRO_DAMPING_TERM,
+        )
+        assert abs(x1) < 1e-6
         ref_x1, _ = integrate_reference_gyro(
             0.01, 0.0, lambda t: 0.0, 1e-6, 200_000, GYRO_NATURAL_FREQ, GYRO_DAMPING_TERM
         )
         assert abs(ref_x1) < 1e-6
-        assert state.x1 == pytest.approx(ref_x1, abs=1e-9)
+        assert x1 == pytest.approx(ref_x1, abs=1e-9)
 
     def test_fourth_order_convergence(self):
         # Smooth transient (constant input, offset initial state); the input
@@ -110,10 +146,11 @@ class TestGyro:
         )
         errors = []
         for dt in (4e-4, 2e-4, 1e-4):
-            state = GyroState(x1=0.01)
-            for _ in range(int(round(horizon / dt))):
-                state = gyro_step(state, q_const, dt)
-            errors.append(abs(state.x1 - ref_x1))
+            x1, _ = integrate_reference_gyro(
+                0.01, 0.0, lambda t: q_const, dt, int(round(horizon / dt)),
+                GYRO_NATURAL_FREQ, GYRO_DAMPING_TERM,
+            )
+            errors.append(abs(x1 - ref_x1))
         assert errors[0] / errors[1] >= 12.0
         assert errors[1] / errors[2] >= 12.0
 
@@ -125,32 +162,50 @@ class TestGyro:
         expected = 1.0 / (2.0 * zeta * math.sqrt(1.0 - zeta**2))
         amp = 0.01
         dt = 1e-5
-        state = GyroState()
+        x1 = x2 = 0.0
         t = 0.0
         peak = 0.0
         n_settle = int(0.25 / dt)
         n_measure = int(round((2.0 * math.pi / w_r) / dt))  # one full period
         for k in range(n_settle + n_measure):
-            state = gyro_step(state, amp * math.sin(w_r * t), dt)
+            x1, x2 = gyro_once(x1, x2, amp * math.sin(w_r * t), dt)
             t += dt
             if k >= n_settle:
-                peak = max(peak, abs(state.x1))
+                peak = max(peak, abs(x1))
         assert peak / amp == pytest.approx(expected, rel=1e-3)
 
     def test_step_guard(self):
-        with pytest.raises(StepTooLarge):
-            gyro_step(GyroState(), 0.0, 2e-3)
+        # The one step guard is the scenario's: 0 < dt <= MAX_DT = 1 ms.
+        assert MAX_DT == 1e-3
         with pytest.raises(ValueError):
-            gyro_step(GyroState(), 0.0, -1e-4)
+            lti_scenario(dt=2e-3)
+        with pytest.raises(ValueError):
+            lti_scenario(dt=-1e-4)
 
     def test_settled_state(self):
-        state = settled_gyro(0.015)
-        assert state.x1 == 0.015 and state.x2 == 0.0
-        after = gyro_step(state, 0.015, 5e-4)
-        assert after.x1 == pytest.approx(0.015, abs=1e-15)
-        assert after.x2 == pytest.approx(0.0, abs=1e-12)
+        # The loop starts the gyro settled on the initial true rate.
+        trace, _ = simulate(scenario_paper_ltv(t_span=(60.0, 60.1)))
+        assert trace.q[0] != 0.0
+        assert trace.q_meas[0] == trace.q[0]
+        x1, x2 = gyro_once(0.015, 0.0, 0.015, 5e-4)
+        assert x1 == pytest.approx(0.015, abs=1e-15)
+        assert x2 == pytest.approx(0.0, abs=1e-12)
 
     def test_purity(self):
-        state = GyroState(x1=0.01)
-        gyro_step(state, 0.5, 1e-4)
-        assert state.x1 == 0.01 and state.x2 == 0.0
+        # simulate leaves its scenario (and everything it holds) untouched.
+        scenario = scenario_paper_ltv(t_span=(60.0, 60.5))
+        before = pickle.dumps(scenario)
+        simulate(scenario)
+        assert pickle.dumps(scenario) == before
+
+    @pytest.mark.parametrize("feedback_source", ["gyro_rate", "true_state"])
+    def test_trace_is_the_reference_gyro(self, feedback_source):
+        scenario = scenario_paper_ltv(t_span=(60.0, 62.0), feedback_source=feedback_source)
+        trace, _ = simulate(scenario)
+        q, q_meas = trace.q.tolist(), trace.q_meas.tolist()
+        assert q_meas != q
+        stepped, x1, x2 = [], q[0], 0.0
+        for q_k in q:
+            stepped.append(x1)
+            x1, x2 = gyro_once(x1, x2, q_k, scenario.dt)
+        assert stepped == q_meas

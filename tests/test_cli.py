@@ -183,6 +183,52 @@ class TestSimulate:
         assert outs[0] != outs[1]
 
 
+DESIGN = {"t": 60, "gamma": 20}
+
+
+class TestMalformedConfig:
+    """Wrong types and values in a config file exit 2, not with a traceback."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"design": {"t": [60], "gamma": 20}}),
+        ("simulate", {"design": [60, 20]}),
+        ("simulate", {"disturbances": {"channel1": ["sine"]}}),
+        ("simulate", {"disturbances": {"channel2": 5}}),
+        ("simulate", {"disturbances": {"channel1": [
+            {"type": "noise", "amplitude": 1, "seed": -1}]}}),
+        ("simulate", {"scenario": "paper-lti", "t_span": ["60", None]}),
+        ("simulate", {"scenario": "paper-lti", "dt": [1e-3]}),
+        ("simulate", {"scenario": ["paper-lti"]}),
+        ("simulate", {"scenario": "paper-lti", "feedback": {"gyro": 1}}),
+        ("synthesize", {"design": dict(DESIGN, weight=[[0, float("nan"), 0]])}),
+        ("synthesize", {"design": dict(DESIGN, weight=[[[0, 1, 0]] * 3])}),
+        ("synthesize", {"design": dict(DESIGN, gamma=float("inf"))}),
+        ("gamma-search", {"design": DESIGN, "tol": "small"}),
+        ("gamma-search", {"design": DESIGN, "gamma_bracket": 5}),
+        ("gamma-search", {"design": DESIGN, "gamma_bracket": ["a", 2]}),
+        ("norm", {"system": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}}),
+    ])
+    def test_exits_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "error=config-error" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_bad_step_for_reproduce_paper(self, capsys):
+        assert main(["reproduce-paper", "--dt", "0.5"]) == EXIT_CONFIG
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(scenario):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(simulator, "simulate", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["simulate", "--config", short_simulate_config(tmp_path),
+                  "--out", str(tmp_path / "out")])
+
+
 @pytest.fixture
 def umask_022():
     previous = os.umask(0o022)

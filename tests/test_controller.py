@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
+from conftest import exact_product, quiet_scenario
 import hinf_autopilot.controller as controller_module
+from hinf_autopilot import simulator
 from hinf_autopilot.care_solver import (
     HinfSolution,
     NoStabilizingSolution,
@@ -22,21 +22,16 @@ from hinf_autopilot.controller import (
     ClosedLoopUnstable,
     ControllerGain,
     calibrate_state_weight,
-    control_law,
     design_point_t60,
     design_point_t100,
     gain_from_solution,
     implied_state_weight,
     synthesize,
 )
+from hinf_autopilot.simulator import (
+    DisturbanceSpec, Sine, scenario_paper_lti, scenario_paper_ltv, simulate,
+)
 from hinf_autopilot.vehicle_model import assemble_pitch_plant
-
-
-def exact_product(b_entries, x_rows):
-    """Exact decimal B'X via Fraction arithmetic (independent oracle)."""
-    b = [Fraction(s) for s in b_entries]
-    x = [[Fraction(s) for s in row] for row in x_rows]
-    return [float(sum(b[i] * x[i][j] for i in range(3))) for j in range(3)]
 
 
 X_T60_STR = (
@@ -75,25 +70,52 @@ class TestGainFromSolution:
             gain_from_solution(np.zeros((2, 1)), REFERENCE_X_T60)
 
 
-class TestControlLaw:
-    def test_zero_state(self):
-        gain = ControllerGain(K=REFERENCE_GAIN_T60)
-        assert control_law(gain, np.zeros(3)) == 0.0
+def law_from_trace(trace, K, e_channel):
+    """-(K0 int_e + K1 e_ch + K2 v_z) per sample, in the loop's order."""
+    k0, k1, k2 = (float(v) for v in K[0])
+    return -(k0 * trace.x[:, 0] + k1 * e_channel + k2 * trace.x[:, 2])
 
-    def test_published_gain_on_rate_error(self):
-        gain = ControllerGain(K=REFERENCE_GAIN_T60)
-        assert control_law(gain, [0.0, 0.01, 0.0]) == pytest.approx(
+
+class TestControlLaw:
+    """The control law `simulate` applies: u = -K x_fb on every sample."""
+
+    def test_zero_state(self):
+        trace, _ = simulate(quiet_scenario(t_span=(60.0, 61.0)))
+        assert np.array_equal(trace.u, np.zeros_like(trace.u))
+
+    def test_published_gain_on_rate_error(self, monkeypatch):
+        published = ControllerGain(K=REFERENCE_GAIN_T60)
+        assert float(-(published.K @ [0.0, 0.01, 0.0])[0]) == pytest.approx(
             -0.015804, abs=1e-12
         )
+        monkeypatch.setattr(simulator, "synthesize", lambda design: (None, published))
+        trace, _ = simulate(scenario_paper_lti(t_span=(60.0, 62.0), feedback_source="true_state"))
+        assert np.array_equal(trace.u, law_from_trace(trace, published.K, trace.x[:, 1]))
+
+    def test_gyro_feedback_uses_measured_rate(self):
+        # With gyro feedback the e channel is q_c - q_meas, not the true e.
+        scenario = scenario_paper_ltv(t_span=(60.0, 62.0))
+        trace, _ = simulate(scenario)
+        e_measured = scenario.profile.rate(trace.t) - trace.q_meas
+        assert not np.array_equal(e_measured, trace.x[:, 1])
+        K = synthesize(scenario.design)[1].K
+        assert np.array_equal(trace.u, law_from_trace(trace, K, e_measured))
 
     def test_linearity(self):
-        rng = np.random.default_rng(9)
-        gain = ControllerGain(K=rng.normal(size=(1, 3)))
-        xa, xb = rng.normal(size=3), rng.normal(size=3)
-        a, b = 2.5, -1.25
-        assert control_law(gain, a * xa + b * xb) == pytest.approx(
-            a * control_law(gain, xa) + b * control_law(gain, xb), rel=1e-12
-        )
+        # With a pass-through servo and no command the loop is linear in the
+        # disturbance, and so is the deflection command it produces.
+        def command_history(w1, w2):
+            spec = DisturbanceSpec(channel1=(Sine(w1, 2.0),), channel2=(Sine(w2, 0.5, 1.0),))
+            return simulate(quiet_scenario(
+                disturbances=spec, t_span=(60.0, 61.0), servo_tau=1e-3, servo_rate_limit=1e9,
+                feedback_source="gyro_rate",
+            ))[0].u
+
+        wa, wb = np.random.default_rng(9).normal(size=(2, 2))
+        lhs = command_history(*(2.5 * wa - 1.25 * wb))
+        rhs = 2.5 * command_history(*wa) - 1.25 * command_history(*wb)
+        assert np.abs(lhs).max() > 0.0
+        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12 * np.abs(lhs).max())
 
 
 class TestSynthesize:

@@ -9,6 +9,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import (
+    STIFF_COEFFS,
+    ZERO_COEFFS,
+    ZERO_PROFILE,
+    frozen_plant_scenario,
+    production_step_map,
+    propagate,
+    quiet_scenario,
+)
 from hinf_autopilot import simulator
 from hinf_autopilot.actuators_sensors import SERVO_RATE_LIMIT
 from hinf_autopilot.controller import design_point_t60, synthesize
@@ -16,17 +25,13 @@ from hinf_autopilot.simulator import (
     DisturbanceSpec,
     Metrics,
     Noise,
-    NonFiniteDerivative,
     NonFiniteState,
     Ramp,
-    Scenario,
     SimulationTrace,
     Sine,
     Step,
     SynthesisFailed,
     compute_metrics,
-    disturbance_sample,
-    rk4_step,
     scenario_paper_lti,
     scenario_paper_ltv,
     simulate,
@@ -40,105 +45,101 @@ from hinf_autopilot.vehicle_model import (
     assemble_pitch_plant,
 )
 
-ZERO_PROFILE = CommandProfile(((0.0, 0.0),))
-
-
-def quiet_scenario(**overrides) -> Scenario:
-    """Frozen-plant scenario with zero command and zero disturbance."""
-    base = dict(
-        design=design_point_t60(),
-        profile=ZERO_PROFILE,
-        disturbances=DisturbanceSpec(),
-        t_span=(60.0, 70.0),
-        dt=1e-3,
-        feedback_source="true_state",
-        plant_mode="lti_frozen",
-    )
-    base.update(overrides)
-    return Scenario(**base)
-
 
 class TestRk4Step:
+    """The RK4 step `simulate` runs: the map precomputed by _step_updates."""
+
     def test_exponential_decay(self):
-        out = rk4_step(lambda x, t: -x, np.array([1.0]), 0.0, 0.1)
-        # One classical step truncates the Taylor series after dt^4:
+        # e-channel-only plant de/dt = M_q e with M_q * dt = -0.1.  One
+        # classical step truncates the Taylor series after dt^4:
         # 1 - 0.1 + 0.005 - 0.1^3/6 + 0.1^4/24 = 0.9048375 exactly; the gap
         # to exp(-0.1) is the dt^5/5! term, 8.33e-8.
-        assert out[0] == pytest.approx(0.9048375, abs=1e-12)
-        assert abs(out[0] - math.exp(-0.1)) < 1e-7
+        coeffs = DynamicCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, -100.0, 0.0)
+        decay = production_step_map(frozen_plant_scenario(coeffs, 1e-3))[0][0, 1, 1]
+        assert decay == pytest.approx(0.9048375, abs=1e-12)
+        assert abs(decay - math.exp(-0.1)) < 1e-7
 
     def test_zero_derivative(self):
-        state = np.array([1.0, -2.0, 3.0])
-        out = rk4_step(lambda x, t: np.zeros(3), state, 0.0, 0.5)
-        assert np.array_equal(out, state)
+        # No dynamics, command or control moment: a state without rate
+        # error stays exactly where it is, whatever the deflection.
+        step_map = production_step_map(frozen_plant_scenario(ZERO_COEFFS, 5e-4))
+        state = np.array([1.0, 0.0, 3.0])
+        assert np.array_equal(propagate(step_map, state, delta=0.7), state)
 
     def test_fourth_order_against_matrix_exponential(self):
-        rng = np.random.default_rng(13)
-        A = rng.normal(size=(3, 3))
-        A -= (np.linalg.eigvals(A).real.max() + 1.0) * np.eye(3)
-        x0 = rng.normal(size=3)
-        horizon = 1.0
-        exact = scipy.linalg.expm(A * horizon) @ x0
-
-        def endpoint_error(dt):
-            x = x0.copy()
-            for k in range(int(round(horizon / dt))):
-                x = rk4_step(lambda s, t: A @ s, x, k * dt, dt)
-            return np.linalg.norm(x - exact)
-
-        e1, e2 = endpoint_error(0.02), endpoint_error(0.01)
+        # Stiff plant, deflection and disturbance held: the exact step is the
+        # exponential of the input-augmented matrix.
+        plant = assemble_pitch_plant(STIFF_COEFFS)
+        aug = np.zeros((6, 6))
+        aug[:3] = np.hstack([plant.A, plant.B, plant.B_w])
+        z0 = np.array([0.3, -0.2, 0.5, 0.01, 0.2, -0.1])  # x, delta, w
+        exact = (scipy.linalg.expm(aug * 0.05) @ z0)[:3]
+        e1, e2 = (
+            np.linalg.norm(exact - propagate(production_step_map(
+                frozen_plant_scenario(STIFF_COEFFS, dt, (0.0, 0.05))), z0[:3], z0[3], z0[4:]))
+            for dt in (1e-3, 5e-4)
+        )
         assert 12.0 <= e1 / e2 <= 20.0
 
     def test_non_finite_derivative(self):
-        with pytest.raises(NonFiniteDerivative):
-            rk4_step(lambda x, t: np.array([math.inf]), np.array([1.0]), 0.0, 0.1)
+        # A non-finite input makes the first step non-finite: NonFiniteState
+        # at t0 + dt, with the one finite sample.
+        scenario = quiet_scenario(
+            disturbances=DisturbanceSpec(channel1=(Step(t0=0.0, amplitude=math.inf),))
+        )
+        with pytest.raises(NonFiniteState) as excinfo:
+            simulate(scenario)
+        assert excinfo.value.time == pytest.approx(60.0 + scenario.dt, abs=1e-12)
+        assert len(excinfo.value.trace.t) == 1
 
     def test_dt_validation(self):
         with pytest.raises(ValueError):
-            rk4_step(lambda x, t: -x, np.array([1.0]), 0.0, -0.1)
+            quiet_scenario(dt=-0.1)
 
 
 class TestDisturbanceSample:
+    """One instant of a spec is `spec.sample_grid([t])[0]`."""
+
     def test_empty_spec(self):
-        assert np.array_equal(disturbance_sample(DisturbanceSpec(), 3.0), [0.0, 0.0])
+        assert np.array_equal(DisturbanceSpec().sample_grid([3.0])[0], [0.0, 0.0])
 
     def test_step_closed_left_endpoint(self):
         spec = DisturbanceSpec(channel1=(Step(t0=5.0, amplitude=0.1),))
-        assert disturbance_sample(spec, 4.9)[0] == 0.0
-        assert disturbance_sample(spec, 5.0)[0] == 0.1
-        assert disturbance_sample(spec, 6.0)[0] == 0.1
+        assert spec.sample_grid([4.9])[0, 0] == 0.0
+        assert spec.sample_grid([5.0])[0, 0] == 0.1
+        assert spec.sample_grid([6.0])[0, 0] == 0.1
 
     def test_sine_quarter_period(self):
         spec = DisturbanceSpec(channel2=(Sine(amplitude=0.2, frequency=1.0),))
-        assert disturbance_sample(spec, math.pi / 2)[1] == pytest.approx(0.2, rel=1e-12)
+        assert spec.sample_grid([math.pi / 2])[0, 1] == pytest.approx(0.2, rel=1e-12)
 
     def test_ramp(self):
         spec = DisturbanceSpec(channel1=(Ramp(t0=2.0, slope=0.5),))
-        assert disturbance_sample(spec, 1.0)[0] == 0.0
-        assert disturbance_sample(spec, 4.0)[0] == pytest.approx(1.0)
+        assert spec.sample_grid([1.0])[0, 0] == 0.0
+        assert spec.sample_grid([4.0])[0, 0] == pytest.approx(1.0)
 
     def test_primitives_sum(self):
         spec = DisturbanceSpec(
             channel1=(Step(t0=0.0, amplitude=1.0), Ramp(t0=0.0, slope=1.0))
         )
-        assert disturbance_sample(spec, 2.0)[0] == pytest.approx(3.0)
+        assert spec.sample_grid([2.0])[0, 0] == pytest.approx(3.0)
 
     def test_noise_reproducible_and_held(self):
         spec = DisturbanceSpec(channel1=(Noise(amplitude=0.3, seed=42, hold=0.1),))
-        a = disturbance_sample(spec, 0.55)[0]
-        b = disturbance_sample(spec, 0.59)[0]  # same hold interval
-        c = disturbance_sample(DisturbanceSpec(
+        a = spec.sample_grid([0.55])[0, 0]
+        b = spec.sample_grid([0.59])[0, 0]  # same hold interval
+        c = DisturbanceSpec(
             channel1=(Noise(amplitude=0.3, seed=42, hold=0.1),)
-        ), 0.55)[0]
+        ).sample_grid([0.55])[0, 0]
         assert a == b == c
         assert abs(a) <= 0.3
         # Prefix stability: querying a later time first must not change it.
         spec2 = DisturbanceSpec(channel1=(Noise(amplitude=0.3, seed=977, hold=0.1),))
-        late = disturbance_sample(spec2, 123.4)[0]
-        early = disturbance_sample(spec2, 0.55)[0]
+        late = spec2.sample_grid([123.4])[0, 0]
+        early = spec2.sample_grid([0.55])[0, 0]
         spec3 = DisturbanceSpec(channel1=(Noise(amplitude=0.3, seed=977, hold=0.1),))
-        assert disturbance_sample(spec3, 0.55)[0] == early
-        assert disturbance_sample(spec3, 123.4)[0] == late
+        assert spec3.sample_grid([0.55])[0, 0] == early
+        assert spec3.sample_grid([123.4])[0, 0] == late
 
     def test_noise_window_equals_full_stream_slice(self):
         # A window that starts late draws only its own samples; they must
@@ -206,6 +207,19 @@ class TestSimulate:
         rates = np.abs(np.diff(trace.delta)) / scenario.dt
         assert rates.max() <= SERVO_RATE_LIMIT + 1e-12
         assert metrics.servo_saturation_fraction > 0.0
+
+    @pytest.mark.parametrize("servo, saturated", [
+        (dict(servo_rate_limit=0.1), 0.688),
+        (dict(servo_tau=5e-4, servo_rate_limit=1e9), 0.0),  # pass-through
+    ])
+    def test_saturation_fraction_uses_the_scenario_limit(self, servo, saturated):
+        # A 0.5 step drives the deflection rate to 0.33 rad/s, inside the
+        # shipped 0.436 rad/s limit; the metric counts the scenario's limit.
+        _, metrics = simulate(scenario_paper_lti(
+            t_span=(60.0, 65.0), dt=5e-4,
+            disturbances=DisturbanceSpec(channel2=(Step(t0=61.0, amplitude=0.5),)), **servo,
+        ))
+        assert metrics.servo_saturation_fraction == pytest.approx(saturated, abs=1e-12)
 
     def test_matches_exact_sampled_closed_loop(self):
         # Pass-through servo (tau = dt, huge limit), true-state feedback,
@@ -287,14 +301,10 @@ class TestSimulate:
             M_v=-0.003, M_q=80.0, M_delta=-0.0001,
         )
         schedule = CoefficientSchedule(((60.0, PITCH_COEFFS_T60), (61.0, wild)))
-        scenario = Scenario(
-            design=design_point_t60(),
+        scenario = quiet_scenario(
             schedule=schedule,
-            profile=ZERO_PROFILE,
             disturbances=DisturbanceSpec(channel2=(Step(t0=60.0, amplitude=0.1),)),
             t_span=(60.0, 120.0),
-            dt=1e-3,
-            feedback_source="true_state",
             plant_mode="ltv",
         )
         with pytest.raises(NonFiniteState) as excinfo:

@@ -8,25 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import ZERO_COEFFS, frozen_plant_scenario, production_step_map, propagate
 from hinf_autopilot.controller import design_point_t60, synthesize
+from hinf_autopilot.simulator import _stage_grids, scenario_paper_ltv, simulate
 from hinf_autopilot.vehicle_model import (
     PITCH_COEFFS_T60,
     PITCH_COEFFS_T100,
     CoefficientSchedule,
     CommandProfile,
     DynamicCoefficients,
-    affine_forcing,
     assemble_pitch_plant,
     coefficients_at,
     default_command_profile,
     default_schedule,
     load_coefficient_schedule,
     load_command_profile,
-    pitch_derivative,
-    reconstruct_attitude,
 )
-
-ZERO_COEFFS = DynamicCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestCoefficientsAt:
@@ -111,11 +108,16 @@ class TestAssemblePitchPlant:
         assert recovered == PITCH_COEFFS_T60
 
 
+def forcing_at(coeffs, profile, t):
+    """(f2, f3) at time t from the simulator's precompute, _stage_grids."""
+    _, _, f2, f3 = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 1)
+    return f2[0], f3[0]
+
+
 class TestAffineForcing:
     def test_zero_command(self):
         profile = CommandProfile(((0.0, 0.0),))
-        out = affine_forcing(PITCH_COEFFS_T60, profile, 5.0)
-        assert np.array_equal(out, np.zeros(3))
+        assert forcing_at(PITCH_COEFFS_T60, profile, 5.0) == (0.0, 0.0)
 
     def test_constant_command_exact_decimal_oracle(self):
         # Exact decimal arithmetic over the shipped coefficients:
@@ -127,10 +129,9 @@ class TestAffineForcing:
         assert float(f3) == pytest.approx(5.43901, abs=1e-12)
 
         profile = CommandProfile(((-1.0, 0.01), (0.0, 0.01)))
-        out = affine_forcing(PITCH_COEFFS_T60, profile, 10.0)
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(float(f2), rel=1e-14)
-        assert out[2] == pytest.approx(float(f3), rel=1e-12)
+        out2, out3 = forcing_at(PITCH_COEFFS_T60, profile, 10.0)
+        assert out2 == pytest.approx(float(f2), rel=1e-14)
+        assert out3 == pytest.approx(float(f3), rel=1e-12)
 
     def test_ramp_derivative_only(self):
         coeffs = DynamicCoefficients(
@@ -138,66 +139,84 @@ class TestAffineForcing:
         )
         alpha = 0.004
         profile = CommandProfile(((0.0, 0.0), (100.0, alpha * 100.0)))
-        out = affine_forcing(coeffs, profile, 50.0)
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(alpha, rel=1e-12)
-        assert out[2] == 0.0
+        out2, out3 = forcing_at(coeffs, profile, 50.0)
+        assert out2 == pytest.approx(alpha, rel=1e-12)
+        assert out3 == 0.0
 
 
 class TestPitchDerivative:
+    """The plant step `simulate` runs: the one-step map from _step_updates."""
+
     def test_equilibrium(self):
-        profile = CommandProfile(((0.0, 0.0),))
-        out = pitch_derivative(np.zeros(3), 0.0, np.zeros(2), PITCH_COEFFS_T60, profile, 1.0)
-        assert np.array_equal(out, np.zeros(3))
+        step_map = production_step_map(frozen_plant_scenario(PITCH_COEFFS_T60, 1e-3))
+        assert np.array_equal(propagate(step_map, np.zeros(3)), np.zeros(3))
 
     def test_matches_matrix_multiply_oracle(self):
-        profile = CommandProfile(((0.0, 0.0),))
-        out = pitch_derivative([0.0, 1.0, 0.0], 0.0, np.zeros(2), PITCH_COEFFS_T60, profile, 0.0)
+        # Frozen plant, held inputs: one RK4 step is x+ = (I + T A) x +
+        # T (b u + B_w w) with T = sum_j dt^(j+1) A^j / (j+1)!, j = 0..3.
+        dt = 1e-3
+        M, N_u, P, _ = production_step_map(frozen_plant_scenario(PITCH_COEFFS_T60, dt))
         plant = assemble_pitch_plant(PITCH_COEFFS_T60)
-        oracle = plant.A @ np.array([0.0, 1.0, 0.0])
-        assert np.allclose(out, oracle, atol=0)
-        assert np.allclose(out, [1.0, -0.18404, -608.84], atol=1e-12)
+        T, term = np.zeros((3, 3)), dt * np.eye(3)
+        for j in range(4):
+            T, term = T + term, term @ plant.A * dt / (j + 2)
+        assert np.allclose(M[0], np.eye(3) + T @ plant.A, rtol=1e-13, atol=1e-16)
+        assert np.allclose(N_u[0], T @ plant.B[:, 0], rtol=1e-13, atol=1e-18)
+        assert np.allclose(P[0], T @ plant.B_w, rtol=1e-13, atol=1e-18)
 
     def test_disturbance_channel_routing(self):
-        profile = CommandProfile(((0.0, 0.0),))
-        out = pitch_derivative(np.zeros(3), 0.0, [1.0, 0.0], PITCH_COEFFS_T100, profile, 0.0)
-        assert np.array_equal(out, np.array([0.0, 0.0, 1.0]))
-        out = pitch_derivative(np.zeros(3), 0.0, [0.0, 1.0], PITCH_COEFFS_T100, profile, 0.0)
-        assert np.array_equal(out, np.array([0.0, 1.0, 0.0]))
+        # With every coefficient zero only the structural d(int_e)/dt = e
+        # remains: w1 drives v_z alone, w2 drives e (and int_e through it).
+        dt = 1e-3
+        step_map = production_step_map(frozen_plant_scenario(ZERO_COEFFS, dt))
+        out = propagate(step_map, np.zeros(3), w=[1.0, 0.0])
+        assert out[0] == 0.0 and out[1] == 0.0
+        assert out[2] == pytest.approx(dt, rel=1e-15)
+        out = propagate(step_map, np.zeros(3), w=[0.0, 1.0])
+        assert out[0] == pytest.approx(0.5 * dt * dt, rel=1e-15)
+        assert out[1] == pytest.approx(dt, rel=1e-15)
+        assert out[2] == 0.0
 
     def test_superposition(self):
         rng = np.random.default_rng(5)
-        profile = default_command_profile()
         t = 30.0
-        coeffs = PITCH_COEFFS_T100
+        step_map = production_step_map(frozen_plant_scenario(
+            PITCH_COEFFS_T100, 2e-4, (t, t + 2e-4), default_command_profile()
+        ))
         xa, xb = rng.normal(size=3), rng.normal(size=3)
         ua, ub = rng.normal(), rng.normal()
         wa, wb = rng.normal(size=2), rng.normal(size=2)
-        lhs = pitch_derivative(xa + xb, ua + ub, wa + wb, coeffs, profile, t) + \
-            pitch_derivative(np.zeros(3), 0.0, np.zeros(2), coeffs, profile, t)
-        rhs = pitch_derivative(xa, ua, wa, coeffs, profile, t) + \
-            pitch_derivative(xb, ub, wb, coeffs, profile, t)
+        lhs = propagate(step_map, xa + xb, ua + ub, wa + wb) + propagate(step_map, np.zeros(3))
+        rhs = propagate(step_map, xa, ua, wa) + propagate(step_map, xb, ub, wb)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 class TestReconstructAttitude:
-    def test_perfect_tracking(self):
-        profile = default_command_profile()
-        t = 40.0
-        theta, q = reconstruct_attitude(profile, np.zeros(3), t)
-        assert theta == pytest.approx(profile.rate_integral(t), abs=0)
-        assert q == pytest.approx(profile.rate(t), abs=0)
+    """theta = int q_c - int_e and q = q_c - e, as `simulate` records them."""
 
-    def test_full_rate_error(self):
-        profile = CommandProfile(((0.0, 0.02),))
-        _, q = reconstruct_attitude(profile, [0.0, 0.02, 0.0], 3.0)
-        assert q == 0.0
+    @pytest.fixture(scope="class")
+    def run(self):
+        # Covers the end of the command ramp, with the default disturbances.
+        scenario = scenario_paper_ltv(t_span=(58.0, 62.0), dt=1e-3)
+        trace, _ = simulate(scenario)
+        return scenario.profile, trace
 
-    def test_stated_arithmetic(self):
-        profile = CommandProfile(((-1.0, 0.01),))
-        theta, q = reconstruct_attitude(profile, [0.02, 0.001, 0.5], 10.0)
-        assert theta == pytest.approx(0.1 - 0.02, abs=1e-15)
-        assert q == pytest.approx(0.009, abs=1e-15)
+    def test_perfect_tracking(self, run):
+        # The run starts at x = 0, where the attitude is the command's.
+        profile, trace = run
+        assert trace.theta[0] == profile.rate_integral(trace.t[0])
+        assert trace.q[0] == profile.rate(trace.t[0])
+        assert trace.q[0] != 0.0
+
+    def test_full_rate_error(self, run):
+        profile, trace = run
+        assert np.abs(trace.x[:, 1]).max() > 0.0
+        assert np.array_equal(trace.q, profile.rate(trace.t) - trace.x[:, 1])
+
+    def test_stated_arithmetic(self, run):
+        profile, trace = run
+        assert np.abs(trace.x[:, 0]).max() > 0.0
+        assert np.array_equal(trace.theta, profile.rate_integral(trace.t) - trace.x[:, 0])
 
 
 class TestCommandProfile:
