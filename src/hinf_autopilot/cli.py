@@ -152,7 +152,9 @@ def _parse_weight(spec) -> np.ndarray:
 
 def _parse_disturbances(spec, seed_override: int | None) -> simulator.DisturbanceSpec:
     if spec is None:
-        return simulator.default_disturbance()
+        if seed_override is None:
+            return simulator.default_disturbance()
+        spec = {}
     if not isinstance(spec, dict):
         raise ConfigError("disturbances must be an object with channel1/channel2 lists")
     channels = []
@@ -172,6 +174,10 @@ def _parse_disturbances(spec, seed_override: int | None) -> simulator.Disturbanc
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {kind} primitive in {name}: {exc}") from exc
         channels.append(tuple(prims))
+    if seed_override is not None and not any(
+        isinstance(prim, simulator.Noise) for prim in channels[0] + channels[1]
+    ):
+        raise ConfigError(f"--seed {seed_override} given, but no noise primitive to seed")
     return simulator.DisturbanceSpec(channel1=channels[0], channel2=channels[1])
 
 
@@ -199,24 +205,22 @@ def _design_from_config(config: dict, args) -> controller.DesignPoint:
     )
 
 
+def _from_csv(config: dict, key: str, default, load):
+    """load(config[key]), or default() when the key is absent."""
+    path = config.get(key)
+    if path is None:
+        return default()
+    if not isinstance(path, str):  # open() would take a number as a descriptor
+        raise ConfigError(f"{key} must be a file path string, got {path!r}")
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _schedule_from_config(config: dict) -> vehicle_model.CoefficientSchedule:
-    path = config.get("schedule_csv")
-    if path is None:
-        return vehicle_model.default_schedule()
-    try:
-        return vehicle_model.load_coefficient_schedule(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"schedule CSV: {exc}") from exc
-
-
-def _profile_from_config(config: dict) -> vehicle_model.CommandProfile:
-    path = config.get("profile_csv")
-    if path is None:
-        return vehicle_model.default_command_profile()
-    try:
-        return vehicle_model.load_command_profile(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"profile CSV: {exc}") from exc
+    return _from_csv(config, "schedule_csv", vehicle_model.default_schedule,
+                     vehicle_model.load_coefficient_schedule)
 
 
 def _scenario_from_config(config: dict, args) -> simulator.Scenario:
@@ -247,7 +251,8 @@ def _scenario_from_config(config: dict, args) -> simulator.Scenario:
         overrides["plant_mode"] = mapping[plant_mode]
 
     overrides["schedule"] = _schedule_from_config(config)
-    overrides["profile"] = _profile_from_config(config)
+    overrides["profile"] = _from_csv(config, "profile_csv", vehicle_model.default_command_profile,
+                                     vehicle_model.load_command_profile)
     if "disturbances" in config or args.seed is not None:
         overrides["disturbances"] = _parse_disturbances(
             config.get("disturbances"), args.seed

@@ -183,11 +183,17 @@ class CommandProfile:
 
     def rate_integral(self, t) -> float | np.ndarray:
         """Exact running integral of q_c from time 0 to t."""
+        ts, qs = self._ts, self._qs
+        if len(ts) == 1:
+            out = qs[0] * np.asarray(t, dtype=float)
+        else:
+            out = self._integral_from_first(t) - self._integral_from_first(0.0)
+        return float(out) if np.isscalar(t) else out
+
+    def _integral_from_first(self, t) -> np.ndarray:
+        """Integral of the clamped profile from the first breakpoint to t."""
         ts, qs, cum = self._ts, self._qs, self._cum
         t_arr = np.asarray(t, dtype=float)
-        if len(ts) == 1:
-            out = qs[0] * t_arr
-            return float(out) if np.isscalar(t) else out
         idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
         t0, t1 = ts[idx], ts[idx + 1]
         q0, q1 = qs[idx], qs[idx + 1]
@@ -196,22 +202,7 @@ class CommandProfile:
         inner = cum[idx] + 0.5 * (q0 + q_at) * tau
         below = np.where(t_arr < ts[0], qs[0] * (t_arr - ts[0]), 0.0)
         above = np.where(t_arr > ts[-1], qs[-1] * (t_arr - ts[-1]), 0.0)
-        # Shift so the integral is taken from absolute time 0.
-        out = inner + below + above - self._integral_at_zero()
-        return float(out) if np.isscalar(t) else out
-
-    def _integral_at_zero(self) -> float:
-        ts, qs, cum = self._ts, self._qs, self._cum
-        if ts[0] >= 0.0:
-            return qs[0] * (0.0 - ts[0])
-        if ts[-1] <= 0.0:
-            return cum[-1] + qs[-1] * (0.0 - ts[-1])
-        idx = int(np.clip(np.searchsorted(ts, 0.0, side="right") - 1, 0, len(ts) - 2))
-        t0, t1 = ts[idx], ts[idx + 1]
-        q0, q1 = qs[idx], qs[idx + 1]
-        tau = -t0
-        q_at = q0 + (q1 - q0) * tau / (t1 - t0)
-        return float(cum[idx] + 0.5 * (q0 + q_at) * tau)
+        return inner + below + above
 
 
 def default_command_profile() -> CommandProfile:

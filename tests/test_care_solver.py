@@ -17,6 +17,7 @@ from conftest import (
     scalar_gamma_min,
     scalar_gamma_min_brute,
 )
+from hinf_autopilot import care_solver
 from hinf_autopilot.care_solver import (
     BracketInvalid,
     CareProblem,
@@ -210,6 +211,34 @@ class TestHinfNorm:
             value = hinf_norm(StateSpace(A=A, B_in=B, C_out=C, D_ff=D), tol=1e-8)
             reference = grid_norm_oracle(A, B, C, D, 50_000)
             assert value == pytest.approx(reference, rel=1e-4)
+
+    @pytest.mark.parametrize("wn, zeta, tol", [
+        *((80.0 * math.pi, zeta, tol)
+          for zeta in (0.25, 5e-3, 1e-3, 1e-4, 1e-5, 1e-6) for tol in (1e-6, 1e-8)),
+        (1.0, 1e-4, 1e-8),
+    ])
+    def test_lightly_damped_second_order(self, wn, zeta, tol):
+        # wn^2 / (s^2 + 2 zeta wn s + wn^2) peaks at 1 / (2 zeta sqrt(1 - zeta^2)).
+        sys = StateSpace(
+            A=[[0.0, 1.0], [-wn**2, -2.0 * zeta * wn]],
+            B_in=[[0.0], [wn**2]],
+            C_out=[[1.0, 0.0]],
+            D_ff=[[0.0]],
+        )
+        analytic = 1.0 / (2.0 * zeta * math.sqrt(1.0 - zeta**2))
+        value = hinf_norm(sys, tol=tol)
+        assert abs(value - analytic) <= tol * analytic
+        assert value <= analytic * (1.0 + 1e-12)
+
+    def test_pass_cap_raises(self, monkeypatch):
+        # The gyro-like peak needs three level passes; with one it must raise
+        # rather than return an unconverged bound.
+        monkeypatch.setattr(care_solver, "_MAX_LEVEL_PASSES", 1)
+        wn = 80.0 * math.pi
+        sys = StateSpace(A=[[0.0, 1.0], [-wn**2, -0.5 * wn]], B_in=[[0.0], [wn**2]],
+                         C_out=[[1.0, 0.0]], D_ff=[[0.0]])
+        with pytest.raises(RuntimeError, match="did not converge"):
+            hinf_norm(sys, tol=1e-8)
 
 
 class TestGammaSearch:

@@ -23,6 +23,8 @@ UNSTABLE_SCHEDULE_CSV = (
     "61,-0.05,600.0,-6.5,-0.001,-0.003,80.0,-0.0001\n"
 )
 
+SHORT_LTI = {"scenario": "paper-lti", "t_span": [60.0, 61.0], "dt": 1e-3}
+
 
 class TestNorm:
     def test_gyro_model(self, capsys):
@@ -182,6 +184,39 @@ class TestSimulate:
             outs.append((out / "trace.csv").read_bytes())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("config, seed", [
+        (None, "5"),  # no config: the flag used to switch on the default sine and step
+        (SHORT_LTI, "5"),  # paper-lti's own sine and step
+        (SHORT_LTI, "-3"),
+        (dict(SHORT_LTI, disturbances={"channel1": [
+            {"type": "sine", "amplitude": 0.1, "frequency": 1.0}]}), "5"),
+        (dict(SHORT_LTI, disturbances={"channel1": [
+            {"type": "noise", "amplitude": 0.1, "seed": 1}]}), "-3"),
+    ])
+    def test_seed_needs_a_noise_primitive(self, tmp_path, capsys, config, seed):
+        out = tmp_path / "out"
+        args = ["simulate", "--out", str(out), "--seed", seed]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        assert main(args) == EXIT_CONFIG
+        assert "error=config-error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_profile_csv_descriptor_exits_2(self, tmp_path, capsys):
+        # A number is not a path: open() would read the descriptor's file.
+        profile = tmp_path / "profile.csv"
+        profile.write_text("t,qc_deg_per_s\n0.0,0.0\n")
+        config = tmp_path / "cfg.json"
+        fd = os.open(profile, os.O_RDONLY)
+        try:
+            config.write_text(json.dumps(dict(SHORT_LTI, profile_csv=fd)))
+            code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        finally:
+            os.close(fd)
+        assert code == EXIT_CONFIG
+
 
 DESIGN = {"t": 60, "gamma": 20}
 
@@ -207,6 +242,9 @@ class TestMalformedConfig:
         ("gamma-search", {"design": DESIGN, "gamma_bracket": 5}),
         ("gamma-search", {"design": DESIGN, "gamma_bracket": ["a", 2]}),
         ("norm", {"system": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}}),
+        ("simulate", {"profile_csv": ["profile.csv"]}),
+        ("simulate", {"scenario": "paper-lti", "schedule_csv": 2.5}),
+        ("synthesize", {"design": DESIGN, "schedule_csv": {"path": "schedule.csv"}}),
     ])
     def test_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"

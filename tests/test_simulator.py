@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from conftest import (
     STIFF_COEFFS,
@@ -43,6 +44,7 @@ from hinf_autopilot.vehicle_model import (
     CommandProfile,
     DynamicCoefficients,
     assemble_pitch_plant,
+    coefficients_at,
 )
 
 
@@ -80,6 +82,32 @@ class TestRk4Step:
             for dt in (1e-3, 5e-4)
         )
         assert 12.0 <= e1 / e2 <= 20.0
+
+    def test_fourth_order_on_time_varying_plant(self):
+        # Coefficients move linearly over the 50 ms run under a ramping
+        # command, so each RK4 stage must see the plant and the forcing at its
+        # own time.  Reference: DOP853 on the same ODE, deflection and
+        # disturbance held.
+        schedule = CoefficientSchedule(((0.0, STIFF_COEFFS), (0.05, PITCH_COEFFS_T60)))
+        profile = CommandProfile(((0.0, 0.1), (1.0, -0.4)))
+        x0, delta, w = np.array([0.3, -0.2, 0.5]), 0.01, np.array([0.2, -0.1])
+
+        def rhs(t, x):
+            c = coefficients_at(schedule, t)
+            plant = assemble_pitch_plant(c)
+            qc = profile.rate(t)
+            forcing = [0.0, profile.rate_derivative(t) - c.M_q * qc,
+                       c.Z_q * qc + c.Z_theta * profile.rate_integral(t)]
+            return plant.A @ x + plant.B[:, 0] * delta + plant.B_w @ w + forcing
+
+        exact = solve_ivp(rhs, (0.0, 0.05), x0, method="DOP853", rtol=1e-13, atol=1e-14).y[:, -1]
+        errors = [
+            np.linalg.norm(exact - propagate(production_step_map(quiet_scenario(
+                schedule=schedule, profile=profile, t_span=(0.0, 0.05), dt=dt, plant_mode="ltv",
+            )), x0, delta, w))
+            for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4)
+        ]
+        assert all(errors[i] / errors[i + 1] >= 12.0 for i in range(3))
 
     def test_non_finite_derivative(self):
         # A non-finite input makes the first step non-finite: NonFiniteState

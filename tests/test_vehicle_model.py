@@ -235,6 +235,14 @@ class TestCommandProfile:
         assert profile.rate_integral(20.0) == pytest.approx(10.0, abs=1e-12)
         assert profile.rate_integral(30.0) == pytest.approx(15.0, abs=1e-12)
 
+    @pytest.mark.parametrize("breakpoints", [
+        ((10.0, 0.5), (20.0, 0.7), (30.0, -0.1)),  # starts after zero
+        ((-7.3, 0.3), (-1.1, 0.9), (4.0, -0.2)),  # spans zero
+        ((-30.0, 0.1), (-13.0, 0.7), (-3.0, 0.35)),  # ends before zero
+    ])
+    def test_integral_is_zero_at_time_zero(self, breakpoints):
+        assert CommandProfile(breakpoints).rate_integral(0.0) == 0.0
+
     def test_derivative_piecewise(self):
         profile = CommandProfile(((0.0, 0.0), (10.0, 1.0), (20.0, 1.0)))
         assert profile.rate_derivative(5.0) == pytest.approx(0.1)
