@@ -12,11 +12,13 @@ library itself is radians-only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
@@ -86,7 +88,19 @@ def _complex_list(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values).ravel()]
 
 
-def _load_config(path: str | None) -> dict:
+def _check_keys(obj, keys, what: str) -> dict:
+    """obj if it is a JSON object whose keys are all in `keys`, else a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object with keys {', '.join(keys)}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key {', '.join(map(repr, unknown))}; "
+                          f"{what} takes {', '.join(keys)}")
+    return obj
+
+
+def _load_config(path: str | None, keys) -> dict:
+    """The JSON object in `path` ({} without a path); a key not in `keys` is an error."""
     if path is None:
         return {}
     try:
@@ -96,20 +110,15 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return config
+    return _check_keys(config, keys, "config")
 
 
 def _number(value, what: str) -> float:
-    """float(value) if it is finite, else a ConfigError naming the field."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
+    """A finite JSON number as a float, else a ConfigError naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 _WEIGHT_NAMES = {
@@ -117,20 +126,8 @@ _WEIGHT_NAMES = {
     "identity": np.eye(3),
 }
 
-_PRIMITIVES = {
-    "step": lambda d: simulator.Step(t0=float(d["t0"]), amplitude=float(d["amplitude"])),
-    "sine": lambda d: simulator.Sine(
-        amplitude=float(d["amplitude"]),
-        frequency=float(d["frequency"]),
-        phase=float(d.get("phase", 0.0)),
-    ),
-    "ramp": lambda d: simulator.Ramp(t0=float(d["t0"]), slope=float(d["slope"])),
-    "noise": lambda d: simulator.Noise(
-        amplitude=float(d["amplitude"]),
-        seed=int(d["seed"]),
-        hold=float(d.get("hold", simulator.DEFAULT_DT)),
-    ),
-}
+_PRIMITIVES = {cls.__name__.lower(): cls
+               for cls in (simulator.Step, simulator.Sine, simulator.Ramp, simulator.Noise)}
 
 
 def _parse_weight(spec) -> np.ndarray:
@@ -150,30 +147,43 @@ def _parse_weight(spec) -> np.ndarray:
     return weight
 
 
+def _primitive(item: dict, where: str):
+    """The disturbance primitive `item` describes: its `type` and its class's fields."""
+    kind = item.get("type")
+    cls = _PRIMITIVES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown disturbance primitive type {kind!r} in {where}; "
+                          f"use one of {', '.join(_PRIMITIVES)}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    _check_keys(item, ("type", *names), f"{kind} primitive")
+    types = typing.get_type_hints(cls)
+    values = {name: _number(item[name], f"{kind} {name}") for name in names if name in item}
+    for name in values:
+        if types[name] is int:
+            if not isinstance(item[name], int):
+                raise ConfigError(f"{kind} {name} must be an integer, got {item[name]!r}")
+            values[name] = item[name]
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # TypeError: a required field is missing
+        raise ConfigError(f"bad {kind} primitive in {where}: {exc}") from exc
+
+
 def _parse_disturbances(spec, seed_override: int | None) -> simulator.DisturbanceSpec:
     if spec is None:
         if seed_override is None:
             return simulator.default_disturbance()
         spec = {}
-    if not isinstance(spec, dict):
-        raise ConfigError("disturbances must be an object with channel1/channel2 lists")
+    _check_keys(spec, ("channel1", "channel2"), "disturbances")
     channels = []
     for name in ("channel1", "channel2"):
         items = spec.get(name, [])
         if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
             raise ConfigError(f"{name} must be a list of primitive objects, got {items!r}")
-        prims = []
-        for item in items:
-            kind = item.get("type")
-            if kind not in _PRIMITIVES:
-                raise ConfigError(f"unknown disturbance primitive type {kind!r}")
-            if kind == "noise" and seed_override is not None:
-                item = dict(item, seed=seed_override)
-            try:
-                prims.append(_PRIMITIVES[kind](item))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad {kind} primitive in {name}: {exc}") from exc
-        channels.append(tuple(prims))
+        if seed_override is not None:
+            items = [dict(item, seed=seed_override) if item.get("type") == "noise" else item
+                     for item in items]
+        channels.append(tuple(_primitive(item, name) for item in items))
     if seed_override is not None and not any(
         isinstance(prim, simulator.Noise) for prim in channels[0] + channels[1]
     ):
@@ -182,21 +192,26 @@ def _parse_disturbances(spec, seed_override: int | None) -> simulator.Disturbanc
 
 
 def _design_from_config(config: dict, args) -> controller.DesignPoint:
-    design_cfg = config.get("design", {})
-    if not isinstance(design_cfg, dict):
-        raise ConfigError("design must be an object with t, gamma and weight")
+    """The design point of the config's `design` object, flags overriding.
+
+    gamma-search needs no gamma: its design point then carries gamma = inf.
+    """
+    design_cfg = _check_keys(config.get("design", {}), ("t", "gamma", "weight"), "design")
     t_design = args.design_time if args.design_time is not None else design_cfg.get("t")
     gamma = args.gamma if args.gamma is not None else design_cfg.get("gamma")
     weight = _parse_weight(design_cfg.get("weight", "measurement"))
+    if gamma is not None:
+        gamma = _number(gamma, "gamma")
+        if gamma <= 0.0:
+            raise ConfigError(f"gamma must be positive, got {gamma}")
 
     if t_design is None and gamma is None:
         return controller.design_point_t100(C_perf=weight)
+    if gamma is None and args.command == "gamma-search":
+        gamma = math.inf
     if t_design is None or gamma is None:
         raise ConfigError("design time and gamma must be given together")
     t_design = _number(t_design, "design time")
-    gamma = _number(gamma, "gamma")
-    if gamma <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
 
     schedule = _schedule_from_config(config)
     coeffs = vehicle_model.coefficients_at(schedule, t_design)
@@ -306,6 +321,7 @@ def _system_from_config(config: dict, args) -> care_solver.StateSpace:
     system = config.get("system")
     if system is None:
         raise ConfigError("norm needs --model gyro|servo or a config 'system' entry")
+    _check_keys(system, ("A", "B", "C", "D"), "system")
     try:
         return care_solver.StateSpace(
             A=system["A"], B_in=system["B"], C_out=system["C"], D_ff=system["D"]
@@ -325,7 +341,7 @@ def _out_dir(args) -> str:
 
 
 def _cmd_synthesize(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, _CONFIG_KEYS["synthesize"])
     design = _design_from_config(config, args)
     out = _out_dir(args)
     solution, gain = controller.synthesize(design)
@@ -348,7 +364,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, _CONFIG_KEYS["simulate"])
     scenario = _scenario_from_config(config, args)
     out = _out_dir(args)
     trace, metrics = simulator.simulate(scenario)
@@ -364,7 +380,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, _CONFIG_KEYS["norm"])
     system = _system_from_config(config, args)
     tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
     if tol <= 0.0:
@@ -378,10 +394,11 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_gamma_search(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, _CONFIG_KEYS["gamma-search"])
     design = _design_from_config(config, args)
     plant = vehicle_model.assemble_pitch_plant(design.coeffs)
-    bracket = args.bracket or config.get("gamma_bracket") or (1e-3, 1e6)
+    bracket = args.bracket if args.bracket is not None else config.get(
+        "gamma_bracket", (1e-3, 1e6))
     if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
         raise ConfigError("gamma bracket must be [lo, hi]")
     lo, hi = (_number(end, "gamma bracket") for end in bracket)
@@ -499,6 +516,46 @@ def _cmd_reproduce_paper(args) -> int:
     return EXIT_OK
 
 
+# Every flag a subcommand may take.
+_FLAGS = {
+    "--config": dict(help="JSON configuration file"),
+    "--out": dict(help=f"output directory (default ${OUT_DIR_ENV} or ./out)"),
+    "--design-time": dict(type=float, help="design time on the coefficient schedule (s)"),
+    "--gamma": dict(type=float, help="attenuation level"),
+    "--plant-mode": dict(choices=["ltv", "lti"], help="plant evaluation mode"),
+    "--feedback": dict(choices=["true", "gyro"], help="rate feedback source"),
+    "--dt": dict(type=float, help="integration step (s, <= 1e-3)"),
+    "--seed": dict(type=int, help="override noise seeds"),
+    "--model": dict(choices=["gyro", "servo"], help="built-in model"),
+    "--tol": dict(type=float, help="relative tolerance (default 1e-6)"),
+    "--bracket": dict(type=float, nargs=2, metavar=("LO", "HI"), help="search bracket"),
+}
+
+# Each subcommand: its handler, the flags it reads and its help line.
+_COMMANDS = {
+    "synthesize": (_cmd_synthesize, "--config --out --design-time --gamma",
+                   "solve the design point and write gain/X JSON"),
+    "simulate": (_cmd_simulate,
+                 "--config --out --design-time --gamma --plant-mode --feedback --dt --seed",
+                 "run a scenario; write trace CSV and metrics JSON"),
+    "norm": (_cmd_norm, "--config --model --tol",
+             "H-infinity norm of a built-in or configured system"),
+    "gamma-search": (_cmd_gamma_search, "--config --design-time --gamma --bracket --tol",
+                     "bisect the attenuation level to feasibility"),
+    "reproduce-paper": (_cmd_reproduce_paper, "--dt",
+                        "compare computed X/K with the published values and run both scenarios"),
+}
+
+# The top-level config keys each subcommand reads.
+_CONFIG_KEYS = {
+    "synthesize": ("design", "schedule_csv"),
+    "simulate": ("scenario", "design", "schedule_csv", "profile_csv", "t_span", "dt",
+                 "plant_mode", "feedback", "disturbances"),
+    "norm": ("system", "tol"),
+    "gamma-search": ("design", "schedule_csv", "gamma_bracket", "tol"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hinf-autopilot",
@@ -509,50 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
-        p.add_argument("--gamma", type=float, help="attenuation level")
-        p.add_argument(
-            "--design-time", type=float, help="design time on the coefficient schedule (s)"
-        )
-        p.add_argument("--plant-mode", choices=["ltv", "lti"], help="plant evaluation mode")
-        p.add_argument(
-            "--feedback", choices=["true", "gyro"], help="rate feedback source"
-        )
-        p.add_argument("--dt", type=float, help="integration step (s, <= 1e-3)")
-        p.add_argument("--seed", type=int, help="override noise seeds")
-
-    p = sub.add_parser("synthesize", help="solve the design point and write gain/X JSON")
-    add_common(p)
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("simulate", help="run a scenario; write trace CSV and metrics JSON")
-    add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("norm", help="H-infinity norm of a built-in or configured system")
-    add_common(p)
-    p.add_argument("--model", choices=["gyro", "servo"], help="built-in model")
-    p.add_argument("--tol", type=float, help="relative tolerance (default 1e-6)")
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("gamma-search", help="bisect the attenuation level to feasibility")
-    add_common(p)
-    p.add_argument(
-        "--bracket", type=float, nargs=2, metavar=("LO", "HI"), help="search bracket"
-    )
-    p.add_argument("--tol", type=float, help="relative tolerance (default 1e-6)")
-    p.set_defaults(func=_cmd_gamma_search)
-
-    p = sub.add_parser(
-        "reproduce-paper",
-        help="compare computed X/K with the published values and run both scenarios",
-    )
-    add_common(p)
-    p.set_defaults(func=_cmd_reproduce_paper)
-
+    for name, (func, flags, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -342,12 +342,11 @@ def test_criterion_11_substituted_checks(shipped_runs, capsys):
     """
     # Determinism: a rerun of a shipped scenario is bitwise identical.
     scenario, trace, _ = shipped_runs["paper-lti"]
-    trace2, _ = simulate(scenario)
+    trace2, metrics_full = simulate(scenario)
     assert np.array_equal(trace.x, trace2.x)
     assert np.array_equal(trace.delta, trace2.delta)
 
     # Step-size robustness: halving dt moves rms_e by less than 1%.
-    _, metrics_full = simulate(scenario)
     halved = dataclasses.replace(scenario, dt=scenario.dt / 2.0)
     _, metrics_halved = simulate(halved)
     drift = abs(metrics_full.rms_e - metrics_halved.rms_e) / metrics_halved.rms_e

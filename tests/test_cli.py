@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,23 @@ class TestSimulate:
         assert "error=config-error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_readme_example_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("A scenario configuration is a JSON object")[1]
+        config = json.loads(example.split("```json\n")[1].split("```")[0])
+        schedule = tmp_path / "coeffs.csv"
+        schedule.write_text("t,Zv,Zq,Ztheta,Zdelta,Mv,Mq,Mdelta\n" + "".join(
+            ",".join(map(repr, [t, *c.as_array().tolist()])) + "\n"
+            for t, c in vehicle_model.default_schedule().breakpoints))
+        profile = tmp_path / "command.csv"
+        profile.write_text("t,qc_deg_per_s\n0.0,0.0\n")
+        # Same keys, shorter run: only the values of the example change.
+        config.update(schedule_csv=str(schedule), profile_csv=str(profile),
+                      t_span=[60.0, 61.0])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_profile_csv_descriptor_exits_2(self, tmp_path, capsys):
         # A number is not a path: open() would read the descriptor's file.
         profile = tmp_path / "profile.csv"
@@ -245,14 +263,46 @@ class TestMalformedConfig:
         ("simulate", {"profile_csv": ["profile.csv"]}),
         ("simulate", {"scenario": "paper-lti", "schedule_csv": 2.5}),
         ("synthesize", {"design": DESIGN, "schedule_csv": {"path": "schedule.csv"}}),
+        ("synthesize", {"design": dict(DESIGN, gamma=True)}),
+        ("synthesize", {"design": dict(DESIGN, gamma="20")}),
+        ("simulate", dict(SHORT_LTI, disturbances={"channel1": [
+            {"type": "noise", "amplitude": 0.1, "seed": 1.9}]})),
+        ("gamma-search", {"design": DESIGN, "gamma_bracket": []}),
     ])
     def test_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        argv = [command, "--config", str(path)]
+        if command in ("simulate", "synthesize"):  # norm and gamma-search write no files
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
         assert "error=config-error" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("synthesize", {"gama": 3, "design": dict(DESIGN, wieght="identity")}, "'gama'"),
+        ("synthesize", {"design": dict(DESIGN, wieght="identity")}, "'wieght'"),
+        ("simulate", dict(SHORT_LTI, seed=5, sedd=1), "'sedd'"),
+        ("simulate", dict(SHORT_LTI, disturbances={"chanel1": [
+            {"type": "step", "t0": 60.0, "amplitude": 0.1}]}), "'chanel1'"),
+        ("simulate", dict(SHORT_LTI, disturbances={"channel1": [
+            {"type": "sine", "amplitude": 0.1, "frequency": 1.0, "phse": 1.0}]}), "'phse'"),
+        ("norm", {"system": {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                             "E": [[1.0]]}}, "'E'"),
+        ("gamma-search", {"design": DESIGN, "bracket": [0.1, 100.0]}, "'bracket'"),
+    ])
+    def test_unread_key_is_named(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)]
+        if command in ("simulate", "synthesize"):
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error=config-error: unknown" in err and key in err
+        assert not out.exists()
 
     def test_bad_step_for_reproduce_paper(self, capsys):
         assert main(["reproduce-paper", "--dt", "0.5"]) == EXIT_CONFIG
@@ -376,6 +426,22 @@ class TestGammaSearch:
         assert "gamma_min" not in captured.out
         assert "error=synthesis-infeasible" in captured.err
 
+    def test_design_time_without_gamma(self, capsys):
+        argv = ["gamma-search", "--design-time", "60", "--tol", "1e-4"]
+        assert main(argv) == EXIT_OK
+        result = capsys.readouterr().out.splitlines()[-1]
+        assert main(argv + ["--gamma", "20"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == result
+        assert result.startswith("gamma_min = ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--design-time", "60", "--gamma", "-1"],
+        ["--gamma", "5"],
+    ])
+    def test_unused_gamma_is_still_checked(self, capsys, flags):
+        assert main(["gamma-search", *flags]) == EXIT_CONFIG
+        assert "gamma" in capsys.readouterr().err
+
     def test_non_positive_tol_is_config_error(self, capsys):
         code = main(["gamma-search", "--design-time", "60", "--gamma", "20", "--tol", "0"])
         assert code == EXIT_CONFIG
@@ -407,6 +473,28 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["norm", "--model", "servo", "--out", "OUT", "--dt", "5", "--plant-mode", "lti",
+          "--feedback", "true", "--gamma", "3", "--seed", "-3"],
+         ["--out", "--dt", "--plant-mode", "--feedback", "--gamma", "--seed"]),
+        (["synthesize", "--design-time", "100", "--gamma", "7.8", "--dt", "99",
+          "--seed", "-1", "--feedback", "true"], ["--dt", "--seed", "--feedback"]),
+        (["gamma-search", "--design-time", "60", "--gamma", "20", "--out", "OUT",
+          "--seed", "-9"], ["--out", "--seed"]),
+        (["reproduce-paper", "--dt", "1e-3", "--config", "/nonexistent.json"], ["--config"]),
+    ])
+    def test_flag_the_command_does_not_read_is_hard_error(
+        self, tmp_path, monkeypatch, capsys, argv, unread
+    ):
+        monkeypatch.setenv("HINF_AUTOPILOT_OUT", str(tmp_path / "env"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(out) if arg == "OUT" else arg for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in unread)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_is_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
