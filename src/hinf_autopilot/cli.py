@@ -194,7 +194,9 @@ def _parse_disturbances(spec, seed_override: int | None) -> simulator.Disturbanc
 def _design_from_config(config: dict, args) -> controller.DesignPoint:
     """The design point of the config's `design` object, flags overriding.
 
-    gamma-search needs no gamma: its design point then carries gamma = inf.
+    With neither a design time nor gamma it is the shipped 100 s point
+    (gamma = 7.8) on the config's schedule.  gamma-search needs no gamma:
+    its design point then carries gamma = inf.
     """
     design_cfg = _check_keys(config.get("design", {}), ("t", "gamma", "weight"), "design")
     t_design = args.design_time if args.design_time is not None else design_cfg.get("t")
@@ -206,7 +208,8 @@ def _design_from_config(config: dict, args) -> controller.DesignPoint:
             raise ConfigError(f"gamma must be positive, got {gamma}")
 
     if t_design is None and gamma is None:
-        return controller.design_point_t100(C_perf=weight)
+        shipped = controller.design_point_t100()  # on the schedule in use
+        t_design, gamma = shipped.t_design, shipped.gamma
     if gamma is None and args.command == "gamma-search":
         gamma = math.inf
     if t_design is None or gamma is None:

@@ -18,8 +18,10 @@ failure time and the partial trace attached to the error.
 
 The per-step plant update is evaluated through precomputed stage matrices
 (an algebraically identical regrouping of the RK4 stages, batched with
-numpy ahead of the loop) so that full-length runs at dt = 2e-4 stay fast in
-pure Python.
+numpy) so that full-length runs at dt = 2e-4 stay fast in pure Python.  The
+run goes in chunks of _STEP_CHUNK steps: each chunk's precompute is built,
+stepped through and recorded into the trace before the next, so memory
+follows the trace (about 90 bytes a step) and not the precompute.
 """
 
 from __future__ import annotations
@@ -307,12 +309,20 @@ def metrics_to_dict(metrics: Metrics) -> dict:
 # ---------------------------------------------------------------------------
 # Integration
 
+#: Steps precomputed, integrated and recorded together; bounds the
+#: precompute alive at once to a few MB, whatever the length of the run.
+_STEP_CHUNK = 4096
 
-def _stage_grids(scenario: Scenario, n_steps: int):
-    """Coefficient and forcing data on the half-step grid (2N+1 points)."""
+
+def _stage_grids(scenario: Scenario, first: int, last: int):
+    """Coefficient, command and forcing data of steps first..last-1.
+
+    Sampled on their half-step grid, the 2 (last - first) + 1 points from
+    t0 + dt first to t0 + dt last; the even points are the step nodes.
+    """
     t0, _ = scenario.t_span
     dt = scenario.dt
-    th = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+    th = t0 + 0.5 * dt * np.arange(2 * first, 2 * last + 1)
 
     profile = scenario.profile
     qc = np.asarray(profile.rate(th), dtype=float)
@@ -331,11 +341,11 @@ def _stage_grids(scenario: Scenario, n_steps: int):
 
     f2 = dqc - coeff["M_q"] * qc
     f3 = coeff["Z_q"] * qc + coeff["Z_theta"] * iqc
-    return coeff, qc, f2, f3
+    return coeff, qc, iqc, f2, f3
 
 
-def _step_updates(scenario: Scenario, n_steps: int, coeff, f2, f3) -> np.ndarray:
-    """Per-step update data, flattened to (N, 21).
+def _step_updates(dt: float, coeff, f2, f3) -> np.ndarray:
+    """Per-step update data of the half-step grids, flattened to (N, 21).
 
     Columns: the 3x3 state propagator M (row-major, 9), the control column
     N_u (3), the disturbance propagator P (3x2 row-major, 6), and the
@@ -343,7 +353,6 @@ def _step_updates(scenario: Scenario, n_steps: int, coeff, f2, f3) -> np.ndarray
     x+ = M x + N_u * delta + P w + q_f, identical to the classical RK4
     stages with coefficients evaluated at the stage times and (u, w) held.
     """
-    dt = scenario.dt
 
     def stage_matrices(sl) -> np.ndarray:
         mats = np.zeros((len(coeff["M_q"][sl]), 3, 3))
@@ -361,58 +370,35 @@ def _step_updates(scenario: Scenario, n_steps: int, coeff, f2, f3) -> np.ndarray
         vecs[:, 2] = col2[sl]
         return vecs
 
-    even = slice(0, None, 2)
-    odd = slice(1, None, 2)
-    A_even = stage_matrices(even)
-    A_odd = stage_matrices(odd)
-    b_even = stage_vectors(-coeff["M_delta"], coeff["Z_delta"], even)
-    b_odd = stage_vectors(-coeff["M_delta"], coeff["Z_delta"], odd)
-    f_even = stage_vectors(f2, f3, even)
-    f_odd = stage_vectors(f2, f3, odd)
+    # Stage 1 at the step start, stages 2 and 3 at the midpoint, stage 4 at the end.
+    start, mid, end = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
+    A1, A2, A3 = stage_matrices(start), stage_matrices(mid), stage_matrices(end)
+    n_steps = len(A2)
+    half = 0.5 * dt
+    sixth = dt / 6.0
 
-    B_w = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    eye = np.eye(3)
+    L1 = A1
+    L2 = A2 + half * (A2 @ L1)
+    L3 = A2 + half * (A2 @ L2)
+    L4 = A3 + dt * (A3 @ L3)
+    M = np.eye(3) + sixth * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
+
+    def input_propagator(col1, col2):
+        c1, c2, c3 = (stage_vectors(col1, col2, sl) for sl in (start, mid, end))
+        n1 = c1
+        n2 = half * _matvec(A2, n1) + c2
+        n3 = half * _matvec(A2, n2) + c2
+        n4 = dt * _matvec(A3, n3) + c3
+        return sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
+
+    # B_w = [[0, 0], [0, 1], [1, 0]]: w1 enters the v_z row, w2 the e row.
+    zeros, ones = np.zeros_like(f2), np.ones_like(f2)
     out = np.empty((n_steps, 21))
-
-    chunk = 65536
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        A1 = A_even[start:stop]
-        A2 = A_odd[start:stop]
-        A3 = A_even[start + 1 : stop + 1]
-        b1 = b_even[start:stop]
-        b2 = b_odd[start:stop]
-        b3 = b_even[start + 1 : stop + 1]
-        g1 = f_even[start:stop]
-        g2 = f_odd[start:stop]
-        g3 = f_even[start + 1 : stop + 1]
-
-        L1 = A1
-        L2 = A2 + 0.5 * dt * (A2 @ L1)
-        L3 = A2 + 0.5 * dt * (A2 @ L2)
-        L4 = A3 + dt * (A3 @ L3)
-        M = eye + (dt / 6.0) * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
-
-        def input_propagator(c1, c2, c3):
-            n1 = c1
-            n2 = 0.5 * dt * _matvec(A2, n1) + c2
-            n3 = 0.5 * dt * _matvec(A2, n2) + c2
-            n4 = dt * _matvec(A3, n3) + c3
-            return (dt / 6.0) * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
-
-        N_u = input_propagator(b1, b2, b3)
-        q_f = input_propagator(g1, g2, g3)
-        bw_rows = np.broadcast_to(B_w.T[None, :, :], (stop - start, 2, 3))
-        P_cols = [
-            input_propagator(bw_rows[:, j], bw_rows[:, j], bw_rows[:, j])
-            for j in range(2)
-        ]
-        P = np.stack(P_cols, axis=2)  # (m, 3, 2)
-
-        out[start:stop, 0:9] = M.reshape(stop - start, 9)
-        out[start:stop, 9:12] = N_u
-        out[start:stop, 12:18] = P.reshape(stop - start, 6)
-        out[start:stop, 18:21] = q_f
+    out[:, 0:9] = M.reshape(n_steps, 9)
+    out[:, 9:12] = input_propagator(-coeff["M_delta"], coeff["Z_delta"])
+    out[:, 12:18:2] = input_propagator(zeros, ones)
+    out[:, 13:18:2] = input_propagator(ones, zeros)
+    out[:, 18:21] = input_propagator(f2, f3)
     return out
 
 
@@ -437,14 +423,15 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     dt = scenario.dt
     n_steps = max(1, int(round((tf - t0) / dt)))
 
-    coeff, qc_half, f2, f3 = _stage_grids(scenario, n_steps)
-    steps = _step_updates(scenario, n_steps, coeff, f2, f3)
-
-    t_grid = t0 + dt * np.arange(n_steps + 1)
+    n_out = n_steps + 1
+    t_grid = t0 + dt * np.arange(n_out)
     w_grid = scenario.disturbances.sample_grid(t_grid)
-    qc_nodes = qc_half[::2].tolist()
-    w1_nodes = w_grid[:, 0].tolist()
-    w2_nodes = w_grid[:, 1].tolist()
+    x = np.empty((n_out, 3))
+    theta = np.empty(n_out)
+    q = np.empty(n_out)
+    delta_out = np.empty(n_out)
+    u_out = np.empty(n_out)
+    q_meas = np.empty(n_out)
 
     k0, k1g, k2g = (float(v) for v in gain.K[0])
     use_gyro = scenario.feedback_source == "gyro_rate"
@@ -453,111 +440,98 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     rlim = scenario.servo_rate_limit
     wn2 = GYRO_NATURAL_FREQ * GYRO_NATURAL_FREQ
     damp = GYRO_DAMPING_TERM
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
 
     x0 = x1 = x2 = 0.0
     delta = 0.0
-    g1 = qc_nodes[0]  # gyro pre-settled on the initial true rate
     g2 = 0.0
-
-    n_out = n_steps + 1
-    rec_x0 = np.empty(n_out)
-    rec_x1 = np.empty(n_out)
-    rec_x2 = np.empty(n_out)
-    rec_delta = np.empty(n_out)
-    rec_u = np.empty(n_out)
-    rec_qmeas = np.empty(n_out)
-
-    steps_list = steps  # (N, 21) float64
-    isfinite = math.isfinite
-
     diverged_at = None
-    k = 0
-    while k < n_steps:
-        qc_k = qc_nodes[k]
-        e_ch = (qc_k - g1) if use_gyro else x1
-        u = -(k0 * x0 + k1g * e_ch + k2g * x2)
+    for first in range(0, n_steps, _STEP_CHUNK):
+        last = min(first + _STEP_CHUNK, n_steps)
+        coeff, qc, iqc, f2, f3 = _stage_grids(scenario, first, last)
+        steps = _step_updates(dt, coeff, f2, f3)
+        qc_nodes = qc[::2].tolist()
+        if first == 0:
+            g1 = qc_nodes[0]  # gyro pre-settled on the initial true rate
+        w1_nodes = w_grid[first:last, 0].tolist()
+        w2_nodes = w_grid[first:last, 1].tolist()
+        rec = ([], [], [], [], [], [])
+        rec_x0, rec_x1, rec_x2, rec_delta, rec_u, rec_qmeas = (r.append for r in rec)
 
-        rate = (u - delta) / tau
-        if rate > rlim:
-            rate = rlim
-        elif rate < -rlim:
-            rate = -rlim
-        delta_new = delta + rate * dt
+        for row, qc_k, w1, w2 in zip(steps.tolist(), qc_nodes, w1_nodes, w2_nodes):
+            e_ch = (qc_k - g1) if use_gyro else x1
+            u = -(k0 * x0 + k1g * e_ch + k2g * x2)
 
-        rec_x0[k] = x0
-        rec_x1[k] = x1
-        rec_x2[k] = x2
-        rec_delta[k] = delta
-        rec_u[k] = u
-        rec_qmeas[k] = g1
+            rate = (u - delta) / tau
+            if rate > rlim:
+                rate = rlim
+            elif rate < -rlim:
+                rate = -rlim
+            delta_new = delta + rate * dt
 
-        (
-            m00, m01, m02, m10, m11, m12, m20, m21, m22,
-            n0, n1, n2,
-            p00, p01, p10, p11, p20, p21,
-            q0, q1, q2,
-        ) = steps_list[k].tolist()
-        w1 = w1_nodes[k]
-        w2 = w2_nodes[k]
-        nx0 = m00 * x0 + m01 * x1 + m02 * x2 + n0 * delta_new + p00 * w1 + p01 * w2 + q0
-        nx1 = m10 * x0 + m11 * x1 + m12 * x2 + n1 * delta_new + p10 * w1 + p11 * w2 + q1
-        nx2 = m20 * x0 + m21 * x1 + m22 * x2 + n2 * delta_new + p20 * w1 + p21 * w2 + q2
+            rec_x0(x0)
+            rec_x1(x1)
+            rec_x2(x2)
+            rec_delta(delta)
+            rec_u(u)
+            rec_qmeas(g1)
 
-        # Gyro RK4 on the true rate at t_k (arithmetic of conftest's integrate_reference_gyro).
-        qin = qc_k - x1
-        ka1 = g2
-        ka2 = wn2 * (qin - g1) - damp * g2
-        y1 = g1 + 0.5 * dt * ka1
-        y2 = g2 + 0.5 * dt * ka2
-        kb1 = y2
-        kb2 = wn2 * (qin - y1) - damp * y2
-        y1 = g1 + 0.5 * dt * kb1
-        y2 = g2 + 0.5 * dt * kb2
-        kc1 = y2
-        kc2 = wn2 * (qin - y1) - damp * y2
-        y1 = g1 + dt * kc1
-        y2 = g2 + dt * kc2
-        kd1 = y2
-        kd2 = wn2 * (qin - y1) - damp * y2
-        sixth = dt / 6.0
-        g1 = g1 + sixth * (ka1 + 2.0 * (kb1 + kc1) + kd1)
-        g2 = g2 + sixth * (ka2 + 2.0 * (kb2 + kc2) + kd2)
+            (
+                m00, m01, m02, m10, m11, m12, m20, m21, m22,
+                n0, n1, n2,
+                p00, p01, p10, p11, p20, p21,
+                q0, q1, q2,
+            ) = row
+            nx0 = m00 * x0 + m01 * x1 + m02 * x2 + n0 * delta_new + p00 * w1 + p01 * w2 + q0
+            nx1 = m10 * x0 + m11 * x1 + m12 * x2 + n1 * delta_new + p10 * w1 + p11 * w2 + q1
+            nx2 = m20 * x0 + m21 * x1 + m22 * x2 + n2 * delta_new + p20 * w1 + p21 * w2 + q2
 
-        x0, x1, x2 = nx0, nx1, nx2
-        delta = delta_new
-        k += 1
+            # Gyro RK4 on the true rate at t_k (arithmetic of conftest's integrate_reference_gyro).
+            qin = qc_k - x1
+            ka1 = g2
+            ka2 = wn2 * (qin - g1) - damp * g2
+            y1 = g1 + half * ka1
+            y2 = g2 + half * ka2
+            kb1 = y2
+            kb2 = wn2 * (qin - y1) - damp * y2
+            y1 = g1 + half * kb1
+            y2 = g2 + half * kb2
+            kc1 = y2
+            kc2 = wn2 * (qin - y1) - damp * y2
+            y1 = g1 + dt * kc1
+            y2 = g2 + dt * kc2
+            kd1 = y2
+            kd2 = wn2 * (qin - y1) - damp * y2
+            g1 = g1 + sixth * (ka1 + 2.0 * (kb1 + kc1) + kd1)
+            g2 = g2 + sixth * (ka2 + 2.0 * (kb2 + kc2) + kd2)
+
+            x0, x1, x2 = nx0, nx1, nx2
+            delta = delta_new
+
+            if not isfinite(x0 + x1 + x2 + delta + g1 + g2):
+                break
 
         if not isfinite(x0 + x1 + x2 + delta + g1 + g2):
-            diverged_at = t0 + k * dt
+            diverged_at = t0 + (first + len(rec[0])) * dt
+        elif last == n_steps:
+            # Final sample at tf.
+            e_ch = (qc_nodes[-1] - g1) if use_gyro else x1
+            for r, value in zip(rec, (x0, x1, x2, delta, -(k0 * x0 + k1g * e_ch + k2g * x2), g1)):
+                r.append(value)
+        n_rows = len(rec[0])
+        rows = slice(first, first + n_rows)
+        x[rows, 0], x[rows, 1], x[rows, 2], delta_out[rows], u_out[rows], q_meas[rows] = rec
+        theta[rows] = iqc[: 2 * n_rows : 2] - x[rows, 0]
+        q[rows] = qc[: 2 * n_rows : 2] - x[rows, 1]
+        if diverged_at is not None:
             break
 
-    n_recorded = k if diverged_at is not None else n_steps
-    if diverged_at is None:
-        # Final sample at tf.
-        qc_k = qc_nodes[n_steps]
-        e_ch = (qc_k - g1) if use_gyro else x1
-        rec_x0[n_steps] = x0
-        rec_x1[n_steps] = x1
-        rec_x2[n_steps] = x2
-        rec_delta[n_steps] = delta
-        rec_u[n_steps] = -(k0 * x0 + k1g * e_ch + k2g * x2)
-        rec_qmeas[n_steps] = g1
-        n_recorded = n_steps + 1
-
-    sl = slice(0, n_recorded)
-    t_rec = t_grid[sl]
-    x_rec = np.column_stack([rec_x0[sl], rec_x1[sl], rec_x2[sl]])
-    qc_rec = np.asarray(qc_half[::2][sl])
-    iqc_rec = np.asarray(scenario.profile.rate_integral(t_rec))
+    sl = slice(0, first + n_rows)
     trace = SimulationTrace(
-        t=t_rec,
-        x=x_rec,
-        theta=iqc_rec - x_rec[:, 0],
-        q=qc_rec - x_rec[:, 1],
-        delta=rec_delta[sl].copy(),
-        u=rec_u[sl].copy(),
-        w=w_grid[sl],
-        q_meas=rec_qmeas[sl].copy(),
+        t=t_grid[sl], x=x[sl], theta=theta[sl], q=q[sl], delta=delta_out[sl], u=u_out[sl],
+        w=w_grid[sl], q_meas=q_meas[sl],
     )
     if diverged_at is not None:
         raise NonFiniteState(diverged_at, trace)

@@ -94,6 +94,29 @@ class TestSynthesize:
     def test_partial_design_flags_rejected(self, tmp_path, capsys):
         assert main(["synthesize", "--out", str(tmp_path), "--gamma", "5"]) == EXIT_CONFIG
 
+    def test_default_design_point_reads_the_config_schedule(self, tmp_path):
+        # The 100 s row differs from the built-in one, so the default design
+        # point (100 s, gamma 7.8) must come from this schedule.
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text(
+            "t,Zv,Zq,Ztheta,Zdelta,Mv,Mq,Mdelta\n"
+            "60,-0.054252,608.84,-6.4939,-3.4855,-0.003439,-0.18404,-1.9594\n"
+            "100,-0.0030,1500.0,-6.0,-5.0,0.0002,-0.02,-1.5\n"
+        )
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schedule_csv": str(schedule)}))
+        gains = {}
+        explicit = ["--design-time", "100", "--gamma", "7.8"]
+        for name, flags in (("default", []), ("explicit", explicit)):
+            out = tmp_path / name
+            argv = ["synthesize", "--config", str(config), "--out", str(out), *flags]
+            assert main(argv) == EXIT_OK
+            gains[name] = json.loads((out / "synthesis.json").read_text())["K"]
+        assert main(["synthesize", "--out", str(tmp_path / "builtin")]) == EXIT_OK
+        builtin = json.loads((tmp_path / "builtin" / "synthesis.json").read_text())["K"]
+        assert gains["default"] == gains["explicit"]
+        assert gains["default"] != builtin
+
 
 class TestSimulate:
     def test_zero_scenario_metrics(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -368,6 +370,94 @@ class TestSimulate:
         assert scenario_paper_lti().plant_mode == "lti_frozen"
         assert scenario_paper_ltv().design.gamma == 7.8
         assert scenario_paper_lti().design.gamma == 20.0
+
+
+TRACE_FIELDS = ("t", "x", "theta", "q", "delta", "u", "w", "q_meas")
+
+
+def assert_traces_equal(a: SimulationTrace, b: SimulationTrace) -> None:
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def diverging_scenario():
+    """The unstable-schedule run of test_divergence_reports_time_and_partial_trace."""
+    wild = DynamicCoefficients(
+        Z_v=-0.05, Z_q=600.0, Z_theta=-6.5, Z_delta=-0.001,
+        M_v=-0.003, M_q=80.0, M_delta=-0.0001,
+    )
+    return quiet_scenario(
+        schedule=CoefficientSchedule(((60.0, PITCH_COEFFS_T60), (61.0, wild))),
+        disturbances=DisturbanceSpec(channel2=(Step(t0=60.0, amplitude=0.1),)),
+        t_span=(60.0, 120.0),
+        plant_mode="ltv",
+    )
+
+
+class TestStepChunks:
+    """simulate precomputes and records _STEP_CHUNK steps at a time; the size never shows."""
+
+    CHUNKS = [1, 7, 10**9]
+
+    @pytest.fixture(scope="class", params=[
+        (scenario_paper_ltv, "gyro_rate"), (scenario_paper_lti, "true_state"),
+    ], ids=["ltv-gyro", "lti-true"])
+    def run(self, request):
+        # 9000 steps: two boundaries of the default chunk, and the end of
+        # the command ramp at 80 s.
+        factory, feedback = request.param
+        scenario = factory(
+            t_span=(79.0, 80.8),
+            feedback_source=feedback,
+            disturbances=DisturbanceSpec(
+                channel1=(Noise(amplitude=0.05, seed=11),),
+                channel2=(Sine(amplitude=0.05, frequency=3.0),),
+            ),
+        )
+        assert 2 * simulator._STEP_CHUNK < 9000
+        return scenario, simulate(scenario)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_trace_and_metrics_do_not_depend_on_chunk(self, run, monkeypatch, chunk):
+        scenario, (trace, metrics) = run
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", chunk)
+        chunked_trace, chunked_metrics = simulate(scenario)
+        assert_traces_equal(chunked_trace, trace)
+        assert chunked_metrics == metrics
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_divergence_does_not_depend_on_chunk(self, monkeypatch, chunk):
+        with pytest.raises(NonFiniteState) as expected:
+            simulate(diverging_scenario())
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", chunk)
+        with pytest.raises(NonFiniteState) as chunked:
+            simulate(diverging_scenario())
+        assert chunked.value.time == expected.value.time
+        assert_traces_equal(chunked.value.trace, expected.value.trace)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_memory_grows_with_the_trace_not_the_precompute(self):
+        # The trace is 11 float64 columns, 88 bytes a step; a precompute of
+        # the whole span held more than 800 bytes a step.  The child reads
+        # its own peak (VmHWM): ru_maxrss would start at this process's peak,
+        # inherited through fork and exec.
+        code = (
+            "from hinf_autopilot.simulator import scenario_paper_ltv, simulate\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "simulate(scenario_paper_ltv(t_span=(60.0, 61.0)))\n"
+            "before = peak()\n"
+            "trace, _ = simulate(scenario_paper_ltv(t_span=(60.0, 100.0)))\n"
+            "print((peak() - before) / (len(trace.t) - 1))\n"
+        )
+        src = os.path.dirname(os.path.dirname(simulator.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert float(out) <= 400.0
 
 
 class TestComputeMetrics:

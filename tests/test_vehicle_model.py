@@ -110,7 +110,7 @@ class TestAssemblePitchPlant:
 
 def forcing_at(coeffs, profile, t):
     """(f2, f3) at time t from the simulator's precompute, _stage_grids."""
-    _, _, f2, f3 = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 1)
+    _, _, _, f2, f3 = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 0, 1)
     return f2[0], f3[0]
 
 
