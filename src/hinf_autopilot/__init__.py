@@ -60,6 +60,7 @@ from .vehicle_model import (
     default_schedule,
     load_coefficient_schedule,
     load_command_profile,
+    pitch_terms,
 )
 
 __version__ = "0.1.0"

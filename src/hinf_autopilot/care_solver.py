@@ -127,9 +127,10 @@ class StateSpace:
 class CareProblem:
     """Data for the gamma-parameterized Riccati equation.
 
-    ``gamma`` is the disturbance attenuation level; ``B`` maps the control,
-    ``B_w`` the exogenous disturbance, and ``C`` weights the state in the
-    performance output.  Stabilizability of (A, B) and detectability of
+    ``gamma`` is the disturbance attenuation level (+inf for the
+    disturbance-free / LQR limit); ``B`` maps the control, ``B_w`` the
+    exogenous disturbance, and ``C`` weights the state in the performance
+    output.  Stabilizability of (A, B) and detectability of
     (C, A) are probed with PBH singular-value tests when the problem is
     solved; failures are reported as warnings on the solution rather than
     as hard errors.
@@ -155,8 +156,8 @@ class CareProblem:
         if self.C.shape[1] != n:
             raise ShapeError("C column count must match A")
         self.gamma = float(self.gamma)
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not self.gamma > 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass
@@ -252,15 +253,30 @@ def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.nda
     return 0.5 * (X + X.T)
 
 
-def _verified_solution(
-    A: np.ndarray,
-    G: np.ndarray,
-    Q: np.ndarray,
-    B: np.ndarray,
-    gamma: float,
-    warnings: tuple[str, ...],
-) -> HinfSolution:
-    """Solve, then enforce the PSD / stabilizing / residual contracts."""
+def _riccati_terms(problem: CareProblem) -> tuple[np.ndarray, np.ndarray]:
+    """G = BB' - gamma^-2 BwBw' and Q = C'C of the problem's equation."""
+    G = problem.B @ problem.B.T - (problem.B_w @ problem.B_w.T) / problem.gamma**2
+    return G, problem.C.T @ problem.C
+
+
+def _residual(A, G, Q, X) -> float:
+    """Frobenius norm of X A + A' X - X G X + Q."""
+    return float(np.linalg.norm(X @ A + A.T @ X - X @ G @ X + Q, "fro"))
+
+
+def solve_care(problem: CareProblem) -> HinfSolution:
+    """Solve the gamma-parameterized Riccati equation for its stabilizing root.
+
+    Returns an HinfSolution whose X is symmetric, PSD up to tolerance, and
+    satisfies the residual bound 1e-8 * max(1, ||C'C||_F, ||X||_F^2 ||BB'||_F).
+
+    Raises:
+        NoStabilizingSolution: gamma at or below the achievable level.
+        IndefiniteSolution: stabilizing root exists but is not PSD.
+    """
+    A, B = problem.A, problem.B
+    warnings = _pbh_warnings(A, B, problem.C)
+    G, Q = _riccati_terms(problem)
     X = _stable_subspace_root(A, G, Q)
 
     x_norm = np.linalg.norm(X, "fro")
@@ -277,7 +293,7 @@ def _verified_solution(
             "extracted root does not stabilize A - G X; no valid solution at this level"
         )
 
-    residual = float(np.linalg.norm(X @ A + A.T @ X - X @ G @ X + Q, "fro"))
+    residual = _residual(A, G, Q, X)
     bbt_norm = np.linalg.norm(B @ B.T, "fro")
     scale = max(1.0, float(np.linalg.norm(Q, "fro")), float(x_norm**2 * bbt_norm))
     if residual > 1e-8 * scale:
@@ -289,7 +305,7 @@ def _verified_solution(
     K = B.T @ X
     closed_eigs = np.linalg.eigvals(A - B @ K)
     return HinfSolution(
-        gamma=gamma,
+        gamma=problem.gamma,
         X=X,
         K=K,
         closed_loop_eigs=closed_eigs,
@@ -299,34 +315,13 @@ def _verified_solution(
     )
 
 
-def solve_care(problem: CareProblem) -> HinfSolution:
-    """Solve the gamma-parameterized Riccati equation for its stabilizing root.
-
-    Returns an HinfSolution whose X is symmetric, PSD up to tolerance, and
-    satisfies the residual bound 1e-8 * max(1, ||C'C||_F, ||X||_F^2 ||BB'||_F).
-
-    Raises:
-        NoStabilizingSolution: gamma at or below the achievable level.
-        IndefiniteSolution: stabilizing root exists but is not PSD.
-    """
-    warnings = _pbh_warnings(problem.A, problem.B, problem.C)
-    G = problem.B @ problem.B.T - (problem.B_w @ problem.B_w.T) / problem.gamma**2
-    Q = problem.C.T @ problem.C
-    return _verified_solution(problem.A, G, Q, problem.B, problem.gamma, warnings)
-
-
 def solve_lqr(A, B, C) -> HinfSolution:
     """Solve X A + A' X - X B B' X + C' C = 0 (the disturbance-free limit).
 
-    Same solution contract as solve_care; the returned gamma is +inf.
+    solve_care at gamma = +inf with no disturbance input; same contract.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    C = _as_matrix(C, "C")
-    if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or C.shape[1] != A.shape[0]:
-        raise ShapeError("inconsistent dimensions for the Riccati data")
-    warnings = _pbh_warnings(A, B, C)
-    return _verified_solution(A, B @ B.T, C.T @ C, B, math.inf, warnings)
+    B_w = np.zeros(np.atleast_2d(B).shape)
+    return solve_care(CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=math.inf))
 
 
 def care_residual(problem: CareProblem, X) -> float:
@@ -335,9 +330,7 @@ def care_residual(problem: CareProblem, X) -> float:
     n = problem.A.shape[0]
     if X.shape != (n, n):
         raise ShapeError(f"X must be {n}x{n}, got {X.shape}")
-    G = problem.B @ problem.B.T - (problem.B_w @ problem.B_w.T) / problem.gamma**2
-    Q = problem.C.T @ problem.C
-    return float(np.linalg.norm(X @ problem.A + problem.A.T @ X - X @ G @ X + Q, "fro"))
+    return _residual(problem.A, *_riccati_terms(problem), X)
 
 
 def _gain(A, B, C, D, w: float) -> float:
@@ -433,8 +426,8 @@ def gamma_search(
         BracketInvalid: malformed bracket, or an infeasible upper end.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi) or tol <= 0.0:
-        raise BracketInvalid(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not (0.0 < lo < hi < math.inf) or tol <= 0.0:
+        raise BracketInvalid(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
 
     def feasible(gamma: float) -> bool:
         try:

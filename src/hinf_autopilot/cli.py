@@ -133,7 +133,7 @@ _PRIMITIVES = {cls.__name__.lower(): cls
 def _parse_weight(spec) -> np.ndarray:
     if isinstance(spec, str):
         try:
-            return _WEIGHT_NAMES[spec].copy()
+            return _WEIGHT_NAMES[spec]
         except KeyError:
             raise ConfigError(
                 f"unknown weighting {spec!r}; use one of {sorted(_WEIGHT_NAMES)}"

@@ -18,7 +18,7 @@ only (C_perf = [0 1 0]), which is feasible at both published design points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .vehicle_model import (
     PITCH_COEFFS_T60,
     PITCH_COEFFS_T100,
     DynamicCoefficients,
+    PlantModel,
     assemble_pitch_plant,
 )
 
@@ -52,12 +53,9 @@ class ClosedLoopUnstable(RuntimeError):
     """A - B K has an eigenvalue with non-negative real part."""
 
 
-def _measurement_weight() -> np.ndarray:
-    return np.array([[0.0, 1.0, 0.0]])
-
-
-#: Default performance weighting: penalize the tracking-error output only.
-MEASUREMENT_WEIGHT = _measurement_weight()
+#: Default performance weighting: penalize the measured output (the tracking
+#: error) only.  Read-only; a DesignPoint holds its own copy.
+MEASUREMENT_WEIGHT = PlantModel.C_meas
 
 # Solution matrices and gain printed in the published study (4 decimals as
 # printed there).  Kept as comparison fixtures for the reproduce-paper
@@ -81,18 +79,22 @@ REFERENCE_GAIN_T60 = np.array([1.4141, 1.5804, 0.0024])
 
 @dataclass
 class DesignPoint:
-    """Frozen synthesis data: design time, attenuation level, coefficients, weighting."""
+    """Frozen synthesis data: design time, attenuation level, coefficients, weighting.
+
+    C_perf (default MEASUREMENT_WEIGHT) is copied: the design point owns it.
+    """
 
     t_design: float
     gamma: float
     coeffs: DynamicCoefficients
-    C_perf: np.ndarray = field(default_factory=_measurement_weight)
+    C_perf: np.ndarray | None = None
 
     def __post_init__(self):
         self.gamma = float(self.gamma)
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        self.C_perf = np.atleast_2d(np.asarray(self.C_perf, dtype=float))
+        C_perf = MEASUREMENT_WEIGHT if self.C_perf is None else self.C_perf
+        self.C_perf = np.array(C_perf, dtype=float, ndmin=2)
         if self.C_perf.shape[1] != 3:
             raise ShapeError("C_perf must have 3 columns (state weighting)")
 
@@ -102,7 +104,6 @@ class ControllerGain:
     """State-feedback gain row; the minus sign lives in the control law."""
 
     K: np.ndarray
-    origin: DesignPoint | None = None
 
     def __post_init__(self):
         self.K = np.atleast_2d(np.asarray(self.K, dtype=float))
@@ -112,22 +113,12 @@ class ControllerGain:
 
 def design_point_t100(gamma: float = 7.8, C_perf=None) -> DesignPoint:
     """Shipped design point at 100 s of flight (time-varying experiment)."""
-    return DesignPoint(
-        t_design=100.0,
-        gamma=gamma,
-        coeffs=PITCH_COEFFS_T100,
-        C_perf=MEASUREMENT_WEIGHT if C_perf is None else C_perf,
-    )
+    return DesignPoint(t_design=100.0, gamma=gamma, coeffs=PITCH_COEFFS_T100, C_perf=C_perf)
 
 
 def design_point_t60(gamma: float = 20.0, C_perf=None) -> DesignPoint:
     """Shipped design point at 60 s of flight (frozen-plant experiment)."""
-    return DesignPoint(
-        t_design=60.0,
-        gamma=gamma,
-        coeffs=PITCH_COEFFS_T60,
-        C_perf=MEASUREMENT_WEIGHT if C_perf is None else C_perf,
-    )
+    return DesignPoint(t_design=60.0, gamma=gamma, coeffs=PITCH_COEFFS_T60, C_perf=C_perf)
 
 
 def gain_from_solution(B, X) -> ControllerGain:
@@ -154,7 +145,7 @@ def synthesize(design: DesignPoint) -> tuple[HinfSolution, ControllerGain]:
         A=plant.A, B=plant.B, B_w=plant.B_w, C=design.C_perf, gamma=design.gamma
     )
     solution = solve_care(problem)
-    gain = ControllerGain(K=solution.K.copy(), origin=design)
+    gain = ControllerGain(K=solution.K.copy())
     closed = plant.A - plant.B @ gain.K
     max_real = float(np.linalg.eigvals(closed).real.max())
     if max_real >= 0.0:
@@ -221,7 +212,7 @@ def calibrate_state_weight(
     gamma = float(gamma)
 
     candidates: list[tuple[str, np.ndarray]] = [
-        ("measurement [0 1 0]", _measurement_weight()),
+        ("measurement [0 1 0]", MEASUREMENT_WEIGHT),
         ("identity", np.eye(3)),
     ]
     for a in diag_grid:

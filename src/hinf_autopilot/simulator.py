@@ -16,12 +16,15 @@ start t_k and held (zero-order hold) across the step:
 The trace records every sample; a non-finite state aborts the run with the
 failure time and the partial trace attached to the error.
 
-The per-step plant update is evaluated through precomputed stage matrices
-(an algebraically identical regrouping of the RK4 stages, batched with
-numpy) so that full-length runs at dt = 2e-4 stay fast in pure Python.  The
-run goes in chunks of _STEP_CHUNK steps: each chunk's precompute is built,
-stepped through and recorded into the trace before the next, so memory
-follows the trace (about 90 bytes a step) and not the precompute.
+The plant is vehicle_model's: the precompute interpolates the coefficient
+schedule at the step nodes and midpoints, evaluates `pitch_terms` there (a
+frozen plant is a one-breakpoint schedule), and folds the four RK4 stages
+into one affine map per step (an algebraically identical regrouping,
+batched with numpy) so that full-length runs at dt = 2e-4 stay fast in pure
+Python.  The run goes in chunks of _STEP_CHUNK steps: each chunk's
+precompute is built, stepped through and recorded into the trace before the
+next, so memory follows the trace (about 90 bytes a step) and not the
+precompute.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from .controller import (
     synthesize,
 )
 from .vehicle_model import (
-    _COEFF_NAMES,
     CoefficientSchedule,
     CommandProfile,
     default_command_profile,
     default_schedule,
+    pitch_terms,
 )
 
 __all__ = [
@@ -315,10 +318,11 @@ _STEP_CHUNK = 4096
 
 
 def _stage_grids(scenario: Scenario, first: int, last: int):
-    """Coefficient, command and forcing data of steps first..last-1.
+    """Command and plant terms of steps first..last-1.
 
-    Sampled on their half-step grid, the 2 (last - first) + 1 points from
-    t0 + dt first to t0 + dt last; the even points are the step nodes.
+    Returns q_c and its integral on the half-step grid, the 2 (last - first)
+    + 1 points from t0 + dt first to t0 + dt last, and the `pitch_terms`
+    (A, B, B_w, f) at its even points (the step nodes) and its odd points.
     """
     t0, _ = scenario.t_span
     dt = scenario.dt
@@ -329,50 +333,32 @@ def _stage_grids(scenario: Scenario, first: int, last: int):
     dqc = np.asarray(profile.rate_derivative(th), dtype=float)
     iqc = np.asarray(profile.rate_integral(th), dtype=float)
 
+    schedule = scenario.schedule
     if scenario.plant_mode == "lti_frozen":
-        ones = np.ones_like(th)
-        coeff = {name: getattr(scenario.design.coeffs, name) * ones for name in _COEFF_NAMES}
-    else:
-        times = scenario.schedule.times
-        table = scenario.schedule.table()
-        coeff = {
-            name: np.interp(th, times, table[:, j]) for j, name in enumerate(_COEFF_NAMES)
-        }
-
-    f2 = dqc - coeff["M_q"] * qc
-    f3 = coeff["Z_q"] * qc + coeff["Z_theta"] * iqc
-    return coeff, qc, iqc, f2, f3
+        design = scenario.design
+        schedule = CoefficientSchedule(((design.t_design, design.coeffs),))
+    rows = schedule.at(th)
+    nodes, mids = (
+        pitch_terms(rows[sl], qc[sl], dqc[sl], iqc[sl])
+        for sl in (slice(0, None, 2), slice(1, None, 2))
+    )
+    return qc, iqc, nodes, mids
 
 
-def _step_updates(dt: float, coeff, f2, f3) -> np.ndarray:
-    """Per-step update data of the half-step grids, flattened to (N, 21).
+def _step_updates(dt: float, nodes, mids) -> np.ndarray:
+    """Per-step update data of the plant terms, flattened to (N, 21).
 
-    Columns: the 3x3 state propagator M (row-major, 9), the control column
-    N_u (3), the disturbance propagator P (3x2 row-major, 6), and the
-    forcing contribution q_f (3).  One step is then
+    `nodes` and `mids` are the `pitch_terms` at the N + 1 step nodes and the
+    N midpoints.  Columns: the 3x3 state propagator M (row-major, 9), the
+    control column N_u (3), the disturbance propagator P (3x2 row-major, 6),
+    and the forcing contribution q_f (3).  One step is then
     x+ = M x + N_u * delta + P w + q_f, identical to the classical RK4
-    stages with coefficients evaluated at the stage times and (u, w) held.
+    stages with the plant evaluated at the stage times and (u, w) held.
     """
-
-    def stage_matrices(sl) -> np.ndarray:
-        mats = np.zeros((len(coeff["M_q"][sl]), 3, 3))
-        mats[:, 0, 1] = 1.0
-        mats[:, 1, 1] = coeff["M_q"][sl]
-        mats[:, 1, 2] = -coeff["M_v"][sl]
-        mats[:, 2, 0] = -coeff["Z_theta"][sl]
-        mats[:, 2, 1] = -coeff["Z_q"][sl]
-        mats[:, 2, 2] = coeff["Z_v"][sl]
-        return mats
-
-    def stage_vectors(col1: np.ndarray, col2: np.ndarray, sl) -> np.ndarray:
-        vecs = np.zeros((len(col1[sl]), 3))
-        vecs[:, 1] = col1[sl]
-        vecs[:, 2] = col2[sl]
-        return vecs
-
+    A_nodes, B_nodes, B_w, f_nodes = nodes
+    A2, B2, _, f2 = mids
     # Stage 1 at the step start, stages 2 and 3 at the midpoint, stage 4 at the end.
-    start, mid, end = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
-    A1, A2, A3 = stage_matrices(start), stage_matrices(mid), stage_matrices(end)
+    A1, A3 = A_nodes[:-1], A_nodes[1:]
     n_steps = len(A2)
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -383,22 +369,20 @@ def _step_updates(dt: float, coeff, f2, f3) -> np.ndarray:
     L4 = A3 + dt * (A3 @ L3)
     M = np.eye(3) + sixth * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
 
-    def input_propagator(col1, col2):
-        c1, c2, c3 = (stage_vectors(col1, col2, sl) for sl in (start, mid, end))
-        n1 = c1
+    def input_propagator(c_nodes, c2):
+        n1 = c_nodes[:-1]
         n2 = half * _matvec(A2, n1) + c2
         n3 = half * _matvec(A2, n2) + c2
-        n4 = dt * _matvec(A3, n3) + c3
+        n4 = dt * _matvec(A3, n3) + c_nodes[1:]
         return sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
 
-    # B_w = [[0, 0], [0, 1], [1, 0]]: w1 enters the v_z row, w2 the e row.
-    zeros, ones = np.zeros_like(f2), np.ones_like(f2)
     out = np.empty((n_steps, 21))
     out[:, 0:9] = M.reshape(n_steps, 9)
-    out[:, 9:12] = input_propagator(-coeff["M_delta"], coeff["Z_delta"])
-    out[:, 12:18:2] = input_propagator(zeros, ones)
-    out[:, 13:18:2] = input_propagator(ones, zeros)
-    out[:, 18:21] = input_propagator(f2, f3)
+    out[:, 9:12] = input_propagator(B_nodes, B2)
+    for j in range(2):
+        column = np.broadcast_to(B_w[:, j], (n_steps + 1, 3))
+        out[:, 12 + j:18:2] = input_propagator(column, column[:-1])
+    out[:, 18:21] = input_propagator(f_nodes, f2)
     return out
 
 
@@ -450,8 +434,8 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     diverged_at = None
     for first in range(0, n_steps, _STEP_CHUNK):
         last = min(first + _STEP_CHUNK, n_steps)
-        coeff, qc, iqc, f2, f3 = _stage_grids(scenario, first, last)
-        steps = _step_updates(dt, coeff, f2, f3)
+        qc, iqc, nodes, mids = _stage_grids(scenario, first, last)
+        steps = _step_updates(dt, nodes, mids)
         qc_nodes = qc[::2].tolist()
         if first == 0:
             g1 = qc_nodes[0]  # gyro pre-settled on the initial true rate
@@ -535,28 +519,25 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     )
     if diverged_at is not None:
         raise NonFiniteState(diverged_at, trace)
-    return trace, compute_metrics(trace, scenario.profile, scenario.servo_rate_limit)
+    return trace, compute_metrics(trace, scenario.servo_rate_limit)
 
 
-def compute_metrics(
-    trace: SimulationTrace, profile: CommandProfile, rate_limit: float = SERVO_RATE_LIMIT
-) -> Metrics:
+def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT) -> Metrics:
     """Scalar summaries over one trace (trapezoid rule for the integrals).
 
-    The servo saturation fraction counts steps whose deflection change hits
-    the rate bound `rate_limit` (rad/s; `simulate` passes the scenario's
-    servo_rate_limit); energy_ratio is the tracking-error output energy over
-    the disturbance energy (zero when the run had no disturbance).
+    The attitude error theta - int q_c is -int_e (the first state), since
+    theta = int q_c - int_e.  The servo saturation fraction counts steps
+    whose deflection change hits the rate bound `rate_limit` (rad/s;
+    `simulate` passes the scenario's servo_rate_limit); energy_ratio is the
+    tracking-error output energy over the disturbance energy (zero when the
+    run had no disturbance).
     """
     t = trace.t
     span = float(t[-1] - t[0])
-    e = trace.x[:, 1]
-    theta_err = trace.theta - np.asarray(profile.rate_integral(t))
+    int_e, e = trace.x[:, 0], trace.x[:, 1]
 
     rms_e = math.sqrt(float(_trapz(e * e, t)) / span) if span > 0 else 0.0
-    rms_theta = (
-        math.sqrt(float(_trapz(theta_err * theta_err, t)) / span) if span > 0 else 0.0
-    )
+    rms_theta = math.sqrt(float(_trapz(int_e * int_e, t)) / span) if span > 0 else 0.0
 
     d_delta = np.abs(np.diff(trace.delta))
     dt = float(t[1] - t[0]) if len(t) > 1 else 1.0

@@ -10,18 +10,13 @@ and the dynamics are
 
     dx/dt = A x + B u + B_w w + f(t)
 
-    A = [[0,       1,    0  ],         B = [0, -M_delta, Z_delta]'
-         [0,       M_q,  -M_v],        B_w = [[0, 0], [0, 1], [1, 0]]
-         [-Z_theta, -Z_q, Z_v]]
-
-    f(t) = [0,
-            dq_c/dt - M_q q_c,
-            Z_q q_c + Z_theta * int_0^t q_c]
-
-The seven Z/M coefficients vary with flight time; two anchor snapshots
-(t = 60 s and t = 100 s) ship as defaults with linear interpolation between
-them.  All angular quantities are radians internally; degrees appear only
-at the CLI boundary.
+The terms are written once, in `pitch_terms`: A and B from the seven Z/M
+coefficients, f from q_c, dq_c/dt and the integral of q_c.  Synthesis
+evaluates them at one snapshot (`assemble_pitch_plant`), the simulator at
+the stage times of each step.  The coefficients vary with flight time; two
+anchor snapshots (t = 60 s and t = 100 s) ship as defaults with linear
+interpolation between them (`CoefficientSchedule.at`).  All angular
+quantities are radians internally; degrees appear only at the CLI boundary.
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,6 +39,7 @@ __all__ = [
     "default_command_profile",
     "coefficients_at",
     "assemble_pitch_plant",
+    "pitch_terms",
     "load_coefficient_schedule",
     "load_command_profile",
 ]
@@ -90,9 +87,6 @@ PITCH_COEFFS_T100 = DynamicCoefficients(
     M_delta=-2.1086,
 )
 
-_COEFF_NAMES = tuple(f.name for f in fields(DynamicCoefficients))
-
-
 @dataclass(frozen=True)
 class CoefficientSchedule:
     """Breakpointed coefficient history; linear between anchors, clamped outside."""
@@ -116,6 +110,11 @@ class CoefficientSchedule:
         """Coefficient values stacked as (n_breakpoints, 7)."""
         return np.array([c.as_array() for _, c in self.breakpoints])
 
+    def at(self, t) -> np.ndarray:
+        """Rows of the 7 coefficients at the times t, shape t.shape + (7,)."""
+        times, table = self.times, self.table()
+        return np.moveaxis(np.array([np.interp(t, times, col) for col in table.T]), 0, -1)
+
 
 def default_schedule() -> CoefficientSchedule:
     """Two-anchor schedule through the shipped 60 s and 100 s snapshots."""
@@ -123,11 +122,8 @@ def default_schedule() -> CoefficientSchedule:
 
 
 def coefficients_at(schedule: CoefficientSchedule, t: float) -> DynamicCoefficients:
-    """Interpolate each coefficient independently; clamp outside the range."""
-    times = schedule.times
-    table = schedule.table()
-    values = [float(np.interp(t, times, table[:, j])) for j in range(table.shape[1])]
-    return DynamicCoefficients(*values)
+    """The schedule's coefficients at one time (`CoefficientSchedule.at`)."""
+    return DynamicCoefficients(*schedule.at(t).tolist())
 
 
 @dataclass(frozen=True)
@@ -218,27 +214,53 @@ def default_command_profile() -> CommandProfile:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Matrices of the augmented tracking plant, state ordered [int_e, e, v_z]."""
+    """Matrices of the augmented tracking plant, state ordered [int_e, e, v_z].
+
+    C_meas (read-only) is the measured output: the gyro senses q, giving e.
+    """
 
     A: np.ndarray
     B: np.ndarray
     B_w: np.ndarray
-    C_meas: np.ndarray
+    C_meas: ClassVar[np.ndarray] = np.array([[0.0, 1.0, 0.0]])
+
+
+# w1 enters the v_z row, w2 the e row, at every flight time.
+_B_W = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+_B_W.flags.writeable = PlantModel.C_meas.flags.writeable = False
+
+
+def pitch_terms(rows, qc=0.0, dqc=0.0, iqc=0.0):
+    """(A, B, B_w, f) of the plant over coefficient rows of any leading shape.
+
+    `rows` holds the seven coefficients in DynamicCoefficients field order
+    along its last axis; qc, dqc and iqc are q_c, dq_c/dt and the integral
+    of q_c, broadcast against the leading shape.  Returns A (..., 3, 3),
+    B (..., 3), the constant B_w (3, 2) and f (..., 3).
+    """
+    rows = np.asarray(rows)
+    Z_v, Z_q, Z_theta, Z_delta, M_v, M_q, M_delta = (rows[..., j] for j in range(7))
+    shape = np.shape(Z_v)
+    A = np.zeros(shape + (3, 3))
+    A[..., 0, 1] = 1.0
+    A[..., 1, 1] = M_q
+    A[..., 1, 2] = -M_v
+    A[..., 2, 0] = -Z_theta
+    A[..., 2, 1] = -Z_q
+    A[..., 2, 2] = Z_v
+    B = np.zeros(shape + (3,))
+    B[..., 1] = -M_delta
+    B[..., 2] = Z_delta
+    f = np.zeros(shape + (3,))
+    f[..., 1] = dqc - M_q * qc
+    f[..., 2] = Z_q * qc + Z_theta * iqc
+    return A, B, _B_W, f
 
 
 def assemble_pitch_plant(coeffs: DynamicCoefficients) -> PlantModel:
-    """Build (A, B, B_w, C_meas) from one coefficient snapshot."""
-    A = np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [0.0, coeffs.M_q, -coeffs.M_v],
-            [-coeffs.Z_theta, -coeffs.Z_q, coeffs.Z_v],
-        ]
-    )
-    B = np.array([[0.0], [-coeffs.M_delta], [coeffs.Z_delta]])
-    B_w = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    C_meas = np.array([[0.0, 1.0, 0.0]])
-    return PlantModel(A=A, B=B, B_w=B_w, C_meas=C_meas)
+    """(A, B, B_w) of one coefficient snapshot, B as a column."""
+    A, B, B_w, _ = pitch_terms(coeffs.as_array())
+    return PlantModel(A=A, B=B.reshape(3, 1), B_w=B_w)
 
 
 _SCHEDULE_HEADER = ["t", "Zv", "Zq", "Ztheta", "Zdelta", "Mv", "Mq", "Mdelta"]

@@ -288,6 +288,28 @@ class TestSolveLqr:
         sol = solve_lqr([[0.0]], [[1.0]], [[1.0]])
         assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_is_solve_care_at_infinite_gamma(self):
+        # The disturbance-free limit is the H-infinity equation at gamma = inf
+        # with a zero disturbance input, bit for bit.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            A, B, _, C = random_care_data(rng)
+            lqr = solve_lqr(A, B, C)
+            hinf = solve_care(CareProblem(A=A, B=B, B_w=np.zeros_like(B), C=C, gamma=math.inf))
+            assert np.array_equal(lqr.X, hinf.X) and np.array_equal(lqr.K, hinf.K)
+            assert lqr.gamma == hinf.gamma == math.inf
+        with pytest.raises(ShapeError):
+            solve_lqr(np.eye(2), np.ones((3, 1)), np.eye(2))
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError):
+            CareProblem(A=[[-1.0]], B=[[1.0]], B_w=[[1.0]], C=[[1.0]], gamma=gamma)
+
+    def test_infinite_upper_bracket_end_rejected(self):
+        with pytest.raises(BracketInvalid):
+            gamma_search([[-1.0]], [[1.0]], [[1.0]], [[1.0]], bracket=(0.1, math.inf))
+
     def test_large_gamma_limit(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

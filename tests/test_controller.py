@@ -204,6 +204,23 @@ class TestDesignPoint:
         with pytest.raises(ValueError):
             design_point_t60(gamma=-1.0)
 
+    def test_design_point_owns_its_weighting(self):
+        # Writing into one design point's weighting leaves the default and
+        # every other design point as they were.
+        expected_K = synthesize(design_point_t100())[1].K
+        changed = design_point_t60()
+        try:
+            changed.C_perf[0, 1] = 2.0
+            assert np.array_equal(MEASUREMENT_WEIGHT, [[0.0, 1.0, 0.0]])
+            assert np.array_equal(design_point_t100().C_perf, [[0.0, 1.0, 0.0]])
+            assert np.array_equal(synthesize(design_point_t100())[1].K, expected_K)
+        finally:
+            changed.C_perf[0, 1] = 1.0  # in case it is shared
+        weight = np.array([[0.0, 1.0, 0.0]])
+        given = design_point_t60(C_perf=weight)
+        weight[0, 0] = 5.0
+        assert np.array_equal(given.C_perf, [[0.0, 1.0, 0.0]])
+
     def test_weight_shape_validation(self):
         with pytest.raises(ShapeError):
             design_point_t60(C_perf=np.eye(2))

@@ -15,7 +15,6 @@ from scipy.integrate import solve_ivp
 from conftest import (
     STIFF_COEFFS,
     ZERO_COEFFS,
-    ZERO_PROFILE,
     frozen_plant_scenario,
     production_step_map,
     propagate,
@@ -371,6 +370,23 @@ class TestSimulate:
         assert scenario_paper_ltv().design.gamma == 7.8
         assert scenario_paper_lti().design.gamma == 20.0
 
+    @pytest.mark.parametrize("feedback", ["gyro_rate", "true_state"])
+    def test_frozen_plant_is_a_one_breakpoint_schedule(self, feedback):
+        # lti_frozen flies the design coefficients at every time: the same run
+        # as a time-varying plant whose schedule has them as its one breakpoint.
+        disturbances = DisturbanceSpec(channel1=(Noise(0.01, 3), Sine(0.02, 2.0)),
+                                       channel2=(Step(62.0, 0.05),))
+        frozen = scenario_paper_lti(t_span=(60.0, 65.0), feedback_source=feedback,
+                                    disturbances=disturbances)
+        one = CoefficientSchedule(((0.0, frozen.design.coeffs),))
+        trace, metrics = simulate(frozen)
+        ltv_trace, ltv_metrics = simulate(scenario_paper_lti(
+            t_span=(60.0, 65.0), feedback_source=feedback, disturbances=disturbances,
+            plant_mode="ltv", schedule=one,
+        ))
+        assert_traces_equal(trace, ltv_trace)
+        assert metrics == ltv_metrics
+
 
 TRACE_FIELDS = ("t", "x", "theta", "q", "delta", "u", "w", "q_meas")
 
@@ -481,29 +497,24 @@ class TestComputeMetrics:
 
     def test_all_zero_trace(self):
         t = np.linspace(0.0, 1.0, 101)
-        metrics = compute_metrics(self.synthetic_trace(t, np.zeros(101)), ZERO_PROFILE)
+        metrics = compute_metrics(self.synthetic_trace(t, np.zeros(101)))
         assert metrics == Metrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_constant_error(self):
         t = np.linspace(0.0, 2.0, 201)
-        metrics = compute_metrics(
-            self.synthetic_trace(t, np.full(201, 0.01)), ZERO_PROFILE
-        )
+        metrics = compute_metrics(self.synthetic_trace(t, np.full(201, 0.01)))
         assert metrics.rms_e == pytest.approx(0.01, rel=1e-12)
         assert metrics.max_abs_e == pytest.approx(0.01)
 
     def test_sine_rms_over_integer_periods(self):
         t = np.linspace(0.0, 2.0 * math.pi * 3.0, 60_001)
-        metrics = compute_metrics(
-            self.synthetic_trace(t, 0.02 * np.sin(t)), ZERO_PROFILE
-        )
+        metrics = compute_metrics(self.synthetic_trace(t, 0.02 * np.sin(t)))
         assert metrics.rms_e == pytest.approx(0.02 / math.sqrt(2.0), rel=1e-6)
 
     def test_energy_ratio_of_known_signals(self):
         t = np.linspace(0.0, 10.0, 10_001)
         metrics = compute_metrics(
-            self.synthetic_trace(t, np.full_like(t, 0.3), w1=np.full_like(t, 0.6)),
-            ZERO_PROFILE,
+            self.synthetic_trace(t, np.full_like(t, 0.3), w1=np.full_like(t, 0.6))
         )
         assert metrics.energy_ratio == pytest.approx(0.25, rel=1e-9)
 

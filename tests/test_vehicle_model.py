@@ -23,6 +23,7 @@ from hinf_autopilot.vehicle_model import (
     default_schedule,
     load_coefficient_schedule,
     load_command_profile,
+    pitch_terms,
 )
 
 
@@ -61,6 +62,22 @@ class TestCoefficientsAt:
             vals = coefficients_at(schedule, float(t)).as_array()
             assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
 
+    @pytest.mark.parametrize("schedule", [
+        default_schedule(),
+        CoefficientSchedule(((60.0, PITCH_COEFFS_T60),)),
+        CoefficientSchedule(((60.0, PITCH_COEFFS_T60), (80.0, ZERO_COEFFS),
+                             (100.0, PITCH_COEFFS_T100))),
+    ])
+    def test_schedule_at_array_is_coefficients_at_each_time(self, schedule):
+        # Breakpoints, points between them and clamped points on both sides,
+        # over a 2-D array of times.
+        times = np.array([[0.0, 60.0, 60.0 + 1e-9, 73.1], [80.0, 99.99, 100.0, 1e4]])
+        rows = schedule.at(times)
+        assert rows.shape == (2, 4, 7)
+        for index, t in np.ndenumerate(times):
+            expected = coefficients_at(schedule, float(t)).as_array()
+            assert np.array_equal(rows[index], expected)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CoefficientSchedule(())
@@ -93,6 +110,23 @@ class TestAssemblePitchPlant:
         assert np.array_equal(plant.B_w, np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
         assert np.array_equal(plant.C_meas, np.array([[0.0, 1.0, 0.0]]))
 
+    def test_pitch_terms_over_rows_are_the_plant_at_each_row(self):
+        # Rows of any leading shape: each (A, B, f) entry equals the plant
+        # assembled at that row, and f is the affine command forcing.
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(2, 3, 7))
+        qc, dqc, iqc = rng.normal(size=(3, 2, 3))
+        A, B, B_w, f = pitch_terms(rows, qc, dqc, iqc)
+        assert (A.shape, B.shape, B_w.shape, f.shape) == ((2, 3, 3, 3), (2, 3, 3), (3, 2), (2, 3, 3))
+        for index in np.ndindex(2, 3):
+            c = DynamicCoefficients(*rows[index])
+            plant = assemble_pitch_plant(c)
+            assert np.array_equal(A[index], plant.A)
+            assert np.array_equal(B[index], plant.B[:, 0])
+            assert np.array_equal(B_w, plant.B_w)
+            assert np.array_equal(f[index], [0.0, dqc[index] - c.M_q * qc[index],
+                                             c.Z_q * qc[index] + c.Z_theta * iqc[index]])
+
     def test_coefficients_recoverable(self):
         # The assembly map is injective on the non-structural entries.
         plant = assemble_pitch_plant(PITCH_COEFFS_T60)
@@ -110,8 +144,9 @@ class TestAssemblePitchPlant:
 
 def forcing_at(coeffs, profile, t):
     """(f2, f3) at time t from the simulator's precompute, _stage_grids."""
-    _, _, _, f2, f3 = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 0, 1)
-    return f2[0], f3[0]
+    _, _, nodes, _ = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 0, 1)
+    f = nodes[3]
+    return f[0, 1], f[0, 2]
 
 
 class TestAffineForcing:
