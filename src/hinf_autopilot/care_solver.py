@@ -8,7 +8,10 @@ for its stabilizing, positive-semidefinite root, extracts state-feedback
 gains K = B' X, computes H-infinity norms of stable state-space systems by
 a level-set iteration (an evaluated gain within the requested tolerance of
 the norm, or an error), and bisects the attenuation level down to the
-feasibility boundary.
+feasibility boundary.  The bisection decides each level with the same
+acceptance checks as solve_care (stable subspace, PSD root, stable A - G X,
+residual bound) but skips the PBH probes, the gain and the loop poles,
+which do not depend on gamma or do not decide feasibility.
 
 The solver works on dense 64-bit arrays and extracts the stable invariant
 subspace of the 2n x 2n Hamiltonian by eigendecomposition.  That is entirely
@@ -211,6 +214,21 @@ def _pbh_warnings(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple[str, ...
     return tuple(notes)
 
 
+def _hamiltonian(M: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """H = [[M, S], [L, -M']], filled into one preallocated 2n x 2n array.
+
+    The callers pass their off-diagonal blocks already signed, so H holds
+    exactly the bits that np.block would assemble from the same operands.
+    """
+    n = M.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = M
+    H[:n, n:] = S
+    H[n:, :n] = L
+    np.negative(M.T, out=H[n:, n:])
+    return H
+
+
 def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Stabilizing root of X A + A' X - X G X + Q = 0 via the Hamiltonian.
 
@@ -220,7 +238,7 @@ def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.nda
     ill-conditioned X1 all raise NoStabilizingSolution.
     """
     n = A.shape[0]
-    H = np.block([[A, -G], [-Q, -A.T]])
+    H = _hamiltonian(A, -G, -Q)
     h_scale = np.linalg.norm(H, "fro")
     eigvals, eigvecs = np.linalg.eig(H)
 
@@ -264,6 +282,42 @@ def _residual(A, G, Q, X) -> float:
     return float(np.linalg.norm(X @ A + A.T @ X - X @ G @ X + Q, "fro"))
 
 
+def _verified_root(
+    A, G, Q, bbt_norm: float, q_norm: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The feasibility test of one level: solve_care's acceptance checks.
+
+    The stable-subspace root X of X A + A' X - X G X + Q = 0 must be PSD,
+    stabilize A - G X and meet the residual bound 1e-8 * max(1, q_norm,
+    ||X||_F^2 bbt_norm), with q_norm = ||Q||_F and bbt_norm = ||BB'||_F.
+    Returns X, the eigenvalues of A - G X and the residual; raises what
+    solve_care raises.
+    """
+    X = _stable_subspace_root(A, G, Q)
+
+    x_norm = np.linalg.norm(X, "fro")
+    lam_min = float(np.linalg.eigvalsh(X)[0])
+    if lam_min < -1e-8 * max(1.0, x_norm):
+        raise IndefiniteSolution(
+            f"stabilizing root is not positive semidefinite (lambda_min={lam_min:.6g})"
+        )
+
+    worst_eigs = np.linalg.eigvals(A - G @ X)
+    if float(worst_eigs.real.max()) >= 0.0:
+        raise NoStabilizingSolution(
+            "extracted root does not stabilize A - G X; no valid solution at this level"
+        )
+
+    residual = _residual(A, G, Q, X)
+    scale = max(1.0, q_norm, float(x_norm**2 * bbt_norm))
+    if residual > 1e-8 * scale:
+        raise NoStabilizingSolution(
+            f"Riccati residual {residual:.3g} exceeds tolerance {1e-8 * scale:.3g}; "
+            "the level is too close to the feasibility boundary"
+        )
+    return X, worst_eigs, residual
+
+
 def solve_care(problem: CareProblem) -> HinfSolution:
     """Solve the gamma-parameterized Riccati equation for its stabilizing root.
 
@@ -277,38 +331,15 @@ def solve_care(problem: CareProblem) -> HinfSolution:
     A, B = problem.A, problem.B
     warnings = _pbh_warnings(A, B, problem.C)
     G, Q = _riccati_terms(problem)
-    X = _stable_subspace_root(A, G, Q)
-
-    x_norm = np.linalg.norm(X, "fro")
-    lam_min = float(np.linalg.eigvalsh(X)[0])
-    if lam_min < -1e-8 * max(1.0, x_norm):
-        raise IndefiniteSolution(
-            f"stabilizing root is not positive semidefinite (lambda_min={lam_min:.6g})"
-        )
-
-    worst_case = A - G @ X
-    worst_eigs = np.linalg.eigvals(worst_case)
-    if float(worst_eigs.real.max()) >= 0.0:
-        raise NoStabilizingSolution(
-            "extracted root does not stabilize A - G X; no valid solution at this level"
-        )
-
-    residual = _residual(A, G, Q, X)
-    bbt_norm = np.linalg.norm(B @ B.T, "fro")
-    scale = max(1.0, float(np.linalg.norm(Q, "fro")), float(x_norm**2 * bbt_norm))
-    if residual > 1e-8 * scale:
-        raise NoStabilizingSolution(
-            f"Riccati residual {residual:.3g} exceeds tolerance {1e-8 * scale:.3g}; "
-            "the level is too close to the feasibility boundary"
-        )
-
+    X, worst_eigs, residual = _verified_root(
+        A, G, Q, float(np.linalg.norm(B @ B.T, "fro")), float(np.linalg.norm(Q, "fro"))
+    )
     K = B.T @ X
-    closed_eigs = np.linalg.eigvals(A - B @ K)
     return HinfSolution(
         gamma=problem.gamma,
         X=X,
         K=K,
-        closed_loop_eigs=closed_eigs,
+        closed_loop_eigs=np.linalg.eigvals(A - B @ K),
         worst_case_eigs=worst_eigs,
         residual=residual,
         warnings=warnings,
@@ -348,12 +379,7 @@ def _axis_crossing(A, B, C, D, gamma: float) -> np.ndarray:
     p = C.shape[0]
     Rinv = np.linalg.inv(gamma**2 * np.eye(D.shape[1]) - D.T @ D)
     M = A + B @ Rinv @ D.T @ C
-    H = np.block(
-        [
-            [M, B @ Rinv @ B.T],
-            [-C.T @ (np.eye(p) + D @ Rinv @ D.T) @ C, -M.T],
-        ]
-    )
+    H = _hamiltonian(M, B @ Rinv @ B.T, -C.T @ (np.eye(p) + D @ Rinv @ D.T) @ C)
     eigs = np.linalg.eigvals(H)
     on_axis = np.abs(eigs.real) <= 1e-8 * (1.0 + np.abs(eigs))
     return np.sort(eigs.imag[on_axis & (eigs.imag >= 0.0)])
@@ -415,12 +441,16 @@ def gamma_search(
 ) -> float:
     """Bisect the attenuation level down to the feasibility boundary.
 
-    Feasibility means solve_care returns a verified solution; both failure
-    modes (axis eigenvalues and indefinite roots) count as infeasible.
-    Assumes feasibility is monotone in gamma.  If the lower bracket end is
-    itself feasible the search returns it unchanged (e.g. B_w = 0, where
-    every positive level is feasible).  When `history` is a list, each
-    probe appends `(gamma, feasible)` to it in order.
+    Feasibility means solve_care would return a verified solution; both
+    failure modes (axis eigenvalues and indefinite roots) count as
+    infeasible.  A probe runs solve_care's acceptance checks on the same
+    floating-point operations but skips its PBH probes, gain and loop
+    poles: the probes do not depend on gamma, and neither the gain nor the
+    poles decide feasibility.  Assumes feasibility is monotone in gamma.
+    If the lower bracket end is itself feasible the search returns it
+    unchanged (e.g. B_w = 0, where every positive level is feasible).
+    When `history` is a list, each probe appends `(gamma, feasible)` to it
+    in order.
 
     Raises:
         BracketInvalid: malformed bracket, or an infeasible upper end.
@@ -429,9 +459,19 @@ def gamma_search(
     if not (0.0 < lo < hi < math.inf) or tol <= 0.0:
         raise BracketInvalid(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
 
+    problem = CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=hi)
+    A = problem.A
+    BBt = problem.B @ problem.B.T
+    WWt = problem.B_w @ problem.B_w.T
+    Q = problem.C.T @ problem.C
+    bbt_norm = float(np.linalg.norm(BBt, "fro"))
+    q_norm = float(np.linalg.norm(Q, "fro"))
+
     def feasible(gamma: float) -> bool:
+        # G as _riccati_terms forms it, so each level is decided on the
+        # bits solve_care would decide it on.
         try:
-            solve_care(CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=gamma))
+            _verified_root(A, BBt - WWt / gamma**2, Q, bbt_norm, q_norm)
         except (NoStabilizingSolution, IndefiniteSolution):
             ok = False
         else:

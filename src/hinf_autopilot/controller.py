@@ -135,10 +135,11 @@ def gain_from_solution(B, X) -> ControllerGain:
 def synthesize(design: DesignPoint) -> tuple[HinfSolution, ControllerGain]:
     """Solve the Riccati equation at the design point and extract the gain.
 
-    The closed-loop matrix A - B K is verified Hurwitz; a weighting that
-    leaves unstable modes unweighted can produce a valid Riccati solution
-    whose feedback loop is nevertheless unstable, which is reported as
-    ClosedLoopUnstable rather than silently returned.
+    The closed-loop matrix A - B K is verified Hurwitz on the solution's
+    closed_loop_eigs; a weighting that leaves unstable modes unweighted can
+    produce a valid Riccati solution whose feedback loop is nevertheless
+    unstable, which is reported as ClosedLoopUnstable rather than silently
+    returned.
     """
     plant = assemble_pitch_plant(design.coeffs)
     problem = CareProblem(
@@ -146,8 +147,7 @@ def synthesize(design: DesignPoint) -> tuple[HinfSolution, ControllerGain]:
     )
     solution = solve_care(problem)
     gain = ControllerGain(K=solution.K.copy())
-    closed = plant.A - plant.B @ gain.K
-    max_real = float(np.linalg.eigvals(closed).real.max())
+    max_real = float(solution.closed_loop_eigs.real.max())
     if max_real >= 0.0:
         raise ClosedLoopUnstable(
             f"A - B K has an eigenvalue with real part {max_real:.3g} >= 0"

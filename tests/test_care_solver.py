@@ -33,12 +33,13 @@ from hinf_autopilot.care_solver import (
     solve_lqr,
 )
 from hinf_autopilot.controller import (
+    MEASUREMENT_WEIGHT,
     REFERENCE_X_T60,
     design_point_t60,
     design_point_t100,
     implied_state_weight,
 )
-from hinf_autopilot.vehicle_model import assemble_pitch_plant
+from hinf_autopilot.vehicle_model import assemble_pitch_plant, coefficients_at, default_schedule
 
 
 def scalar_problem(a, b, bw, c, gamma):
@@ -230,6 +231,13 @@ class TestHinfNorm:
         assert abs(value - analytic) <= tol * analytic
         assert value <= analytic * (1.0 + 1e-12)
 
+    def test_hamiltonian_is_the_block_matrix(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 6):
+            M, S, L = (rng.standard_normal((n, n)) for _ in range(3))
+            H = care_solver._hamiltonian(M, S, L)
+            assert H.tobytes() == np.block([[M, S], [L, -M.T]]).tobytes()
+
     def test_pass_cap_raises(self, monkeypatch):
         # The gyro-like peak needs three level passes; with one it must raise
         # rather than return an unconverged bound.
@@ -276,6 +284,56 @@ class TestGammaSearch:
     def test_infeasible_upper_end_rejected(self):
         with pytest.raises(BracketInvalid):
             gamma_search([[1.0]], [[1.0]], [[1.0]], [[1.0]], bracket=(0.1, 0.5))
+
+    @pytest.mark.parametrize("t_design", [60.0, 73.5, 86.0, 100.0])
+    def test_decides_like_solve_care(self, t_design):
+        # The search's probes skip solve_care's PBH probes, gain and loop
+        # poles; the levels, their verdicts and the result must still be
+        # those of a bisection that asks solve_care, bit for bit.
+        def reference(A, B, B_w, C, lo, hi, tol):
+            history = []
+
+            def feasible(gamma):
+                try:
+                    solve_care(CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=gamma))
+                except (NoStabilizingSolution, IndefiniteSolution):
+                    history.append((gamma, False))
+                    return False
+                history.append((gamma, True))
+                return True
+
+            assert feasible(hi)
+            if feasible(lo):
+                return lo, history
+            while (hi - lo) > tol * hi:
+                mid = 0.5 * (lo + hi)
+                if feasible(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return hi, history
+
+        rng = np.random.default_rng(3)
+        weights = [MEASUREMENT_WEIGHT, np.eye(3)]
+        weights += [np.diag(10 ** rng.uniform(-2, 2, 3)) for _ in range(12)]
+        plant = assemble_pitch_plant(coefficients_at(default_schedule(), t_design))
+        for C in weights:
+            history = []
+            found = gamma_search(
+                plant.A, plant.B, plant.B_w, C, (1e-3, 1e6), tol=1e-6, history=history
+            )
+            expected = reference(plant.A, plant.B, plant.B_w, C, 1e-3, 1e6, 1e-6)
+            assert (found, history) == expected
+
+    def test_probes_do_not_run_the_pbh_probes(self, monkeypatch):
+        def pbh_raises(*args):
+            raise AssertionError("gamma_search ran the PBH probes")
+
+        monkeypatch.setattr(care_solver, "_pbh_warnings", pbh_raises)
+        found = gamma_search(
+            [[1.0]], [[1.0]], [[1.0]], [[1.0]], bracket=(1e-2, 1e3), tol=1e-8
+        )
+        assert found == pytest.approx(scalar_gamma_min(1.0, 1.0, 1.0, 1.0), rel=1e-6)
 
 
 class TestSolveLqr:
