@@ -291,6 +291,7 @@ class TestMalformedConfig:
         ("simulate", dict(SHORT_LTI, disturbances={"channel1": [
             {"type": "noise", "amplitude": 0.1, "seed": 1.9}]})),
         ("gamma-search", {"design": DESIGN, "gamma_bracket": []}),
+        ("simulate", {"scenario": "paper-lti", "t_span": [60.0, 61.0], "dt": 3e-4}),
     ])
     def test_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"

@@ -416,14 +416,20 @@ class TestStepChunks:
     CHUNKS = [1, 7, 10**9]
 
     @pytest.fixture(scope="class", params=[
-        (scenario_paper_ltv, "gyro_rate"), (scenario_paper_lti, "true_state"),
-    ], ids=["ltv-gyro", "lti-true"])
+        (scenario_paper_ltv, "gyro_rate", (79.0, 80.8)),
+        (scenario_paper_lti, "true_state", (79.0, 80.8)),
+        (scenario_paper_ltv, "gyro_rate", (99.5, 102.0)),
+        (scenario_paper_lti, "true_state", (79.5, 82.0)),
+    ], ids=["ltv-gyro", "lti-true", "ltv-gyro-reuse", "lti-true-reuse"])
     def run(self, request):
         # 9000 steps: two boundaries of the default chunk, and the end of
-        # the command ramp at 80 s.
-        factory, feedback = request.param
+        # the command ramp at 80 s.  The reuse spans (12500 steps) cross the
+        # last schedule breakpoint (100 s) or the end of the command (80 s)
+        # in their first chunk, so the third chunk of 4096 steps, and every
+        # later chunk of 1 or 7, reuses the previous chunk's step table.
+        factory, feedback, span = request.param
         scenario = factory(
-            t_span=(79.0, 80.8),
+            t_span=span,
             feedback_source=feedback,
             disturbances=DisturbanceSpec(
                 channel1=(Noise(amplitude=0.05, seed=11),),
@@ -450,6 +456,25 @@ class TestStepChunks:
             simulate(diverging_scenario())
         assert chunked.value.time == expected.value.time
         assert_traces_equal(chunked.value.trace, expected.value.trace)
+
+    @pytest.mark.parametrize("factory, span, builds", [
+        # Command over and plant frozen: the first chunk and the short last one.
+        (scenario_paper_lti, (80.0, 100.0), 2),
+        # Coefficients still interpolated towards the 100 s breakpoint: all 3 chunks.
+        (scenario_paper_ltv, (90.0, 92.0), 3),
+    ], ids=["lti-after-command", "ltv-before-last-breakpoint"])
+    def test_step_table_is_built_once_per_distinct_chunk(self, monkeypatch, factory, span,
+                                                         builds):
+        assert simulator._STEP_CHUNK == 4096
+        step_updates, built = simulator._step_updates, []
+
+        def counted(*args):
+            built.append(args)
+            return step_updates(*args)
+
+        monkeypatch.setattr(simulator, "_step_updates", counted)
+        simulate(factory(t_span=span))
+        assert len(built) == builds
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_memory_grows_with_the_trace_not_the_precompute(self):
@@ -640,6 +665,15 @@ class TestScenarioValidation:
     def test_span_ordering(self):
         with pytest.raises(ValueError):
             quiet_scenario(t_span=(10.0, 5.0))
+
+    @pytest.mark.parametrize("t_span, dt", [
+        ((60.0, 60.0005), 2e-4),  # 2.5 steps: the last sample would be 60.0006
+        ((60.0, 61.0), 3e-4),  # 3333.3 steps: the last sample would be 60.9999
+        ((60.0, math.inf), 1e-3),
+    ])
+    def test_span_of_whole_steps(self, t_span, dt):
+        with pytest.raises(ValueError, match="t_span"):
+            quiet_scenario(t_span=t_span, dt=dt)
 
     def test_enum_fields(self):
         with pytest.raises(ValueError):
