@@ -11,7 +11,11 @@ the norm, or an error), and bisects the attenuation level down to the
 feasibility boundary.  The bisection decides each level with the same
 acceptance checks as solve_care (stable subspace, PSD root, stable A - G X,
 residual bound) but skips the PBH probes, the gain and the loop poles,
-which do not depend on gamma or do not decide feasibility.
+which do not depend on gamma or do not decide feasibility.  Its first run
+of feasible levels is known in advance (hi halves toward lo), so the end
+of that run is found by a binary search over the bracket ends and the
+run's levels; the result and the level history are those of the plain
+bisection.
 
 The solver works on dense 64-bit arrays and extracts the stable invariant
 subspace of the 2n x 2n Hamiltonian by eigendecomposition.  That is entirely
@@ -256,7 +260,9 @@ def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.nda
     basis = eigvecs[:, stable]
     X1 = basis[:n, :]
     X2 = basis[n:, :]
-    cond = np.linalg.cond(X1)
+    # np.linalg.cond's own 2-norm formula, without its call overhead.
+    sv = np.linalg.svd(X1, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
     if not np.isfinite(cond) or cond > _MAX_BASIS_COND:
         raise NoStabilizingSolution(
             f"subspace basis is numerically singular (cond={cond:.3g}); "
@@ -400,14 +406,15 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
 
     Args:
         sys: state-space data; A must be Hurwitz.
-        tol: relative tolerance on the returned value.
+        tol: relative tolerance on the returned value; finite and positive.
 
     Raises:
+        ValueError: tol is not finite and positive.
         UnstableSystem: A has an eigenvalue with non-negative real part.
         RuntimeError: the iteration did not converge within its pass cap.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     A, B, C, D = sys.A, sys.B_in, sys.C_out, sys.D_ff
     poles = np.linalg.eigvals(A)
     if float(poles.real.max()) >= 0.0:
@@ -443,20 +450,38 @@ def gamma_search(
 
     Feasibility means solve_care would return a verified solution; both
     failure modes (axis eigenvalues and indefinite roots) count as
-    infeasible.  A probe runs solve_care's acceptance checks on the same
-    floating-point operations but skips its PBH probes, gain and loop
-    poles: the probes do not depend on gamma, and neither the gain nor the
-    poles decide feasibility.  Assumes feasibility is monotone in gamma.
-    If the lower bracket end is itself feasible the search returns it
-    unchanged (e.g. B_w = 0, where every positive level is feasible).
-    When `history` is a list, each probe appends `(gamma, feasible)` to it
-    in order.
+    infeasible.  A level is decided by solve_care's acceptance checks on
+    the same floating-point operations, without its PBH probes, gain and
+    loop poles: the probes do not depend on gamma, and neither the gain
+    nor the poles decide feasibility.  Assumes feasibility is monotone in
+    gamma.  If the lower bracket end is itself feasible the search returns
+    it unchanged (e.g. B_w = 0, where every positive level is feasible).
+
+    The plain bisection's first run of feasible levels only halves hi
+    toward lo, so its levels are known before any is decided.  The first
+    infeasible one among hi, those levels and lo is found by a binary
+    search over their index (6 solves for the bracket (1e-3, 1e6) at
+    tol 1e-6), and the plain bisection goes on from there.  The result is
+    the plain bisection's, bit for bit, as long as feasibility is
+    monotone.  Worst case: a bracket whose first level is already
+    infeasible spends those log2 solves where the plain bisection spends
+    three.
+
+    When `history` is a list, it receives `(gamma, feasible)` for each
+    level of the plain bisection, in order: both bracket ends, then every
+    midpoint.  A level above a solved feasible level is recorded feasible,
+    and lo below a solved infeasible level infeasible, without a solve;
+    levels the binary search solved below the run's end are not bisection
+    levels and are not recorded.
 
     Raises:
         BracketInvalid: malformed bracket, or an infeasible upper end.
+        ValueError: tol is not finite and positive.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi < math.inf) or tol <= 0.0:
+    if not (0.0 < lo < hi < math.inf):
         raise BracketInvalid(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
 
     problem = CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=hi)
@@ -473,21 +498,45 @@ def gamma_search(
         try:
             _verified_root(A, BBt - WWt / gamma**2, Q, bbt_norm, q_norm)
         except (NoStabilizingSolution, IndefiniteSolution):
-            ok = False
-        else:
-            ok = True
-        if history is not None:
-            history.append((gamma, ok))
-        return ok
+            return False
+        return True
 
-    if not feasible(hi):
+    # hi, the levels of the plain bisection's first run, and lo.
+    run = [hi]
+    while (run[-1] - lo) > tol * run[-1]:
+        h = 0.5 * (lo + run[-1])
+        if h == run[-1]:
+            break  # tol below the float spacing at lo: the run has stalled
+        run.append(h)
+    run.append(lo)
+    # run[:end] are feasible and run[end] is not; end == len(run): lo is.
+    last_ok, end = -1, len(run)
+    while end - last_ok > 1:
+        k = (last_ok + end) // 2
+        if feasible(run[k]):
+            last_ok = k
+        else:
+            end = k
+    if end == 0:
         raise BracketInvalid(f"upper bracket end gamma={hi} is infeasible")
-    if feasible(lo):
-        return lo
+    if end == len(run):
+        visited = [(hi, True), (lo, True)]
+    else:
+        visited = [(hi, True), (lo, False)] + [(gamma, True) for gamma in run[1:end]]
+        if end < len(run) - 1:
+            visited.append((run[end], False))
+    if history is not None:
+        history.extend(visited)
+    if end >= len(run) - 1:
+        return run[end - 1]
+    lo, hi = run[end], run[end - 1]
 
     while (hi - lo) > tol * hi:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        ok = feasible(mid)
+        if history is not None:
+            history.append((mid, ok))
+        if ok:
             hi = mid
         else:
             lo = mid

@@ -217,14 +217,16 @@ def default_disturbance() -> DisturbanceSpec:
 # Scenario and outputs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Everything simulate needs: plant schedule, command, disturbances, design.
 
     The servo parameters default to the physical actuator; setting
     servo_tau equal to dt (with a non-binding rate limit) turns the
     actuator into a pure one-step hold of the commanded deflection, the
-    reference mode used by the linear-consistency checks.
+    reference mode used by the linear-consistency checks.  A scenario is
+    frozen, so its fields are checked once; dataclasses.replace makes a
+    changed copy and checks it again.
     """
 
     design: DesignPoint
@@ -242,16 +244,17 @@ class Scenario:
         t0, tf = float(self.t_span[0]), float(self.t_span[1])
         if not (t0 < tf and math.isfinite(tf - t0)):
             raise ValueError(f"t_span must be finite with t0 < tf, got ({t0}, {tf})")
-        self.t_span = (t0, tf)
-        self.dt = float(self.dt)
-        if not 0.0 < self.dt <= MAX_DT:
-            raise ValueError(f"dt must be in (0, {MAX_DT}], got {self.dt}")
-        steps = (tf - t0) / self.dt
+        dt = float(self.dt)
+        if not 0.0 < dt <= MAX_DT:
+            raise ValueError(f"dt must be in (0, {MAX_DT}], got {dt}")
+        steps = (tf - t0) / dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
-                f"t_span ({t0}, {tf}) is {steps:.6g} steps of dt = {self.dt}; "
+                f"t_span ({t0}, {tf}) is {steps:.6g} steps of dt = {dt}; "
                 "it must be a whole number of steps"
             )
+        object.__setattr__(self, "t_span", (t0, tf))
+        object.__setattr__(self, "dt", dt)
         if self.feedback_source not in ("true_state", "gyro_rate"):
             raise ValueError(f"unknown feedback_source {self.feedback_source!r}")
         if self.plant_mode not in ("ltv", "lti_frozen"):

@@ -238,6 +238,12 @@ class TestHinfNorm:
             H = care_solver._hamiltonian(M, S, L)
             assert H.tobytes() == np.block([[M, S], [L, -M.T]]).tobytes()
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        sys = StateSpace(A=[[-10.0]], B_in=[[10.0]], C_out=[[1.0]], D_ff=[[0.0]])
+        with pytest.raises(ValueError, match="tol"):
+            hinf_norm(sys, tol=tol)
+
     def test_pass_cap_raises(self, monkeypatch):
         # The gyro-like peak needs three level passes; with one it must raise
         # rather than return an unconverged bound.
@@ -247,6 +253,44 @@ class TestHinfNorm:
                          C_out=[[1.0, 0.0]], D_ff=[[0.0]])
         with pytest.raises(RuntimeError, match="did not converge"):
             hinf_norm(sys, tol=1e-8)
+
+
+def reference(A, B, B_w, C, lo, hi, tol):
+    """The plain bisection, deciding every level it visits with solve_care."""
+    history = []
+
+    def feasible(gamma):
+        try:
+            solve_care(CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=gamma))
+        except (NoStabilizingSolution, IndefiniteSolution):
+            history.append((gamma, False))
+            return False
+        history.append((gamma, True))
+        return True
+
+    assert feasible(hi)
+    if feasible(lo):
+        return lo, history
+    while (hi - lo) > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, history
+
+
+def count_solves(monkeypatch) -> list:
+    """Count the levels gamma_search decides, through a _verified_root spy."""
+    solved = []
+    verified_root = care_solver._verified_root
+
+    def spy(A, G, *args):
+        solved.append(G)
+        return verified_root(A, G, *args)
+
+    monkeypatch.setattr(care_solver, "_verified_root", spy)
+    return solved
 
 
 class TestGammaSearch:
@@ -290,29 +334,6 @@ class TestGammaSearch:
         # The search's probes skip solve_care's PBH probes, gain and loop
         # poles; the levels, their verdicts and the result must still be
         # those of a bisection that asks solve_care, bit for bit.
-        def reference(A, B, B_w, C, lo, hi, tol):
-            history = []
-
-            def feasible(gamma):
-                try:
-                    solve_care(CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=gamma))
-                except (NoStabilizingSolution, IndefiniteSolution):
-                    history.append((gamma, False))
-                    return False
-                history.append((gamma, True))
-                return True
-
-            assert feasible(hi)
-            if feasible(lo):
-                return lo, history
-            while (hi - lo) > tol * hi:
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi, history
-
         rng = np.random.default_rng(3)
         weights = [MEASUREMENT_WEIGHT, np.eye(3)]
         weights += [np.diag(10 ** rng.uniform(-2, 2, 3)) for _ in range(12)]
@@ -324,6 +345,61 @@ class TestGammaSearch:
             )
             expected = reference(plant.A, plant.B, plant.B_w, C, 1e-3, 1e6, 1e-6)
             assert (found, history) == expected
+
+    # Scalar plant a = b = bw = c = 1, whose boundary is gamma = 1.  Each
+    # bracket ends the first run of feasible levels at a different edge;
+    # `verdicts` is the history's pattern of verdicts after the two ends.
+    @pytest.mark.parametrize("bracket, tol, verdicts", [
+        ((0.5, 1.2), 1e-8, "first level infeasible"),
+        ((0.6, 2.0), 1e-8, "second level infeasible"),
+        ((0.999, 10.0), 1e-2, "every level feasible"),
+        ((0.99, 1.01), 0.05, "no level"),
+        ((2.0, 10.0), 1e-8, "lower end feasible"),
+    ])
+    def test_first_run_edges_match_the_plain_bisection(self, bracket, tol, verdicts):
+        history = []
+        found = gamma_search(
+            [[1.0]], [[1.0]], [[1.0]], [[1.0]], bracket, tol=tol, history=history
+        )
+        assert (found, history) == reference(
+            [[1.0]], [[1.0]], [[1.0]], [[1.0]], *bracket, tol
+        )
+        ends, levels = [ok for _, ok in history[:2]], [ok for _, ok in history[2:]]
+        if verdicts == "lower end feasible":
+            assert ends == [True, True] and levels == []
+            return
+        assert ends == [True, False]
+        if verdicts == "first level infeasible":
+            assert levels[0] is False
+        elif verdicts == "second level infeasible":
+            assert levels[:2] == [True, False]
+        elif verdicts == "every level feasible":
+            assert len(levels) > 1 and all(levels)
+            assert found == history[-1][0]
+        else:
+            assert levels == [] and found == bracket[1]
+
+    @pytest.mark.parametrize("design", [design_point_t60, design_point_t100])
+    def test_first_run_is_found_by_binary_search(self, design, monkeypatch):
+        # The plain bisection solves all 43 levels of the shipped searches;
+        # the binary search over the first run's index solves 26 or fewer,
+        # and the history still holds every one of the 43.
+        point = design()
+        plant = assemble_pitch_plant(point.coeffs)
+        solved = count_solves(monkeypatch)
+        history = []
+        gamma_search(
+            plant.A, plant.B, plant.B_w, point.C_perf, (1e-3, 1e6), tol=1e-6,
+            history=history,
+        )
+        assert len(solved) <= 26
+        assert len(history) == 43
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol") as raised:
+            gamma_search([[1.0]], [[1.0]], [[1.0]], [[1.0]], (1e-2, 1e3), tol=tol)
+        assert not isinstance(raised.value, BracketInvalid)
 
     def test_probes_do_not_run_the_pbh_probes(self, monkeypatch):
         def pbh_raises(*args):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -674,6 +675,15 @@ class TestScenarioValidation:
     def test_span_of_whole_steps(self, t_span, dt):
         with pytest.raises(ValueError, match="t_span"):
             quiet_scenario(t_span=t_span, dt=dt)
+
+    def test_fields_cannot_skip_the_checks(self):
+        # Assigning dt after construction would run 3333 steps ending at
+        # 60.9999; a copy with the new dt is checked like a new scenario.
+        s = quiet_scenario(t_span=(60.0, 61.0), dt=1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.dt = 3e-4
+        with pytest.raises(ValueError, match="t_span"):
+            dataclasses.replace(s, dt=3e-4)
 
     def test_enum_fields(self):
         with pytest.raises(ValueError):
