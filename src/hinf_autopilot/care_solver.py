@@ -11,11 +11,10 @@ the norm, or an error), and bisects the attenuation level down to the
 feasibility boundary.  The bisection decides each level with the same
 acceptance checks as solve_care (stable subspace, PSD root, stable A - G X,
 residual bound) but skips the PBH probes, the gain and the loop poles,
-which do not depend on gamma or do not decide feasibility.  Its first run
-of feasible levels is known in advance (hi halves toward lo), so the end
-of that run is found by a binary search over the bracket ends and the
-run's levels; the result and the level history are those of the plain
-bisection.
+which do not depend on gamma or do not decide feasibility.  The bisection's
+first run of feasible levels is known in advance (hi halves toward lo), so
+their verdicts come from a binary search over the bracket ends and the
+run's levels rather than one solve per level.
 
 The solver works on dense 64-bit arrays and extracts the stable invariant
 subspace of the 2n x 2n Hamiltonian by eigendecomposition.  That is entirely
@@ -457,22 +456,20 @@ def gamma_search(
     gamma.  If the lower bracket end is itself feasible the search returns
     it unchanged (e.g. B_w = 0, where every positive level is feasible).
 
-    The plain bisection's first run of feasible levels only halves hi
-    toward lo, so its levels are known before any is decided.  The first
-    infeasible one among hi, those levels and lo is found by a binary
-    search over their index (6 solves for the bracket (1e-3, 1e6) at
-    tol 1e-6), and the plain bisection goes on from there.  The result is
-    the plain bisection's, bit for bit, as long as feasibility is
-    monotone.  Worst case: a bracket whose first level is already
-    infeasible spends those log2 solves where the plain bisection spends
-    three.
+    The search is the plain bisection: hi, lo, then midpoints until the
+    bracket is within tol or no float lies strictly between its ends (a
+    tol below the float spacing stops at adjacent floats).  Its first run
+    of feasible levels only halves hi toward lo, so those levels are known
+    before any is decided.  A binary search over hi, the run and lo finds
+    the last feasible one (6 solves for the bracket (1e-3, 1e6) at tol
+    1e-6), and the bisection takes the run's verdicts from it; those of
+    the levels it did not solve rest on monotonicity.  Worst case: a
+    bracket whose first level is already infeasible spends those log2
+    solves where the plain bisection spends three.
 
     When `history` is a list, it receives `(gamma, feasible)` for each
-    level of the plain bisection, in order: both bracket ends, then every
-    midpoint.  A level above a solved feasible level is recorded feasible,
-    and lo below a solved infeasible level infeasible, without a solve;
-    levels the binary search solved below the run's end are not bisection
-    levels and are not recorded.
+    level of the bisection, in order: both bracket ends, then every
+    midpoint.
 
     Raises:
         BracketInvalid: malformed bracket, or an infeasible upper end.
@@ -501,42 +498,40 @@ def gamma_search(
             return False
         return True
 
+    def level(lo: float, hi: float) -> float | None:
+        # The next bisection level, or None once the bracket is within tol
+        # or no float lies strictly between its ends.
+        mid = 0.5 * (lo + hi)
+        return mid if (hi - lo) > tol * hi and lo < mid < hi else None
+
     # hi, the levels of the plain bisection's first run, and lo.
     run = [hi]
-    while (run[-1] - lo) > tol * run[-1]:
-        h = 0.5 * (lo + run[-1])
-        if h == run[-1]:
-            break  # tol below the float spacing at lo: the run has stalled
+    while (h := level(lo, run[-1])) is not None:
         run.append(h)
     run.append(lo)
-    # run[:end] are feasible and run[end] is not; end == len(run): lo is.
-    last_ok, end = -1, len(run)
-    while end - last_ok > 1:
-        k = (last_ok + end) // 2
+    # ok: the last feasible index of run, found by a binary search.
+    ok, bad = -1, len(run)
+    while bad - ok > 1:
+        k = (ok + bad) // 2
         if feasible(run[k]):
-            last_ok = k
+            ok = k
         else:
-            end = k
-    if end == 0:
+            bad = k
+    if ok < 0:
         raise BracketInvalid(f"upper bracket end gamma={hi} is infeasible")
-    if end == len(run):
-        visited = [(hi, True), (lo, True)]
-    else:
-        visited = [(hi, True), (lo, False)] + [(gamma, True) for gamma in run[1:end]]
-        if end < len(run) - 1:
-            visited.append((run[end], False))
-    if history is not None:
-        history.extend(visited)
-    if end >= len(run) - 1:
-        return run[end - 1]
-    lo, hi = run[end], run[end - 1]
+    known = {gamma: i <= ok for i, gamma in enumerate(run)}
 
-    while (hi - lo) > tol * hi:
-        mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
+    def decide(gamma: float) -> bool:
+        verdict = known[gamma] if gamma in known else feasible(gamma)
         if history is not None:
-            history.append((mid, ok))
-        if ok:
+            history.append((gamma, verdict))
+        return verdict
+
+    decide(hi)
+    if decide(lo):
+        return lo
+    while (mid := level(lo, hi)) is not None:
+        if decide(mid):
             hi = mid
         else:
             lo = mid

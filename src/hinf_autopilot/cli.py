@@ -121,6 +121,14 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _tol(config: dict, args) -> float:
+    """The relative tolerance: --tol, else the config's `tol`, else 1e-6."""
+    tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
+    if tol <= 0.0:
+        raise ConfigError("tol must be positive")
+    return tol
+
+
 _WEIGHT_NAMES = {
     "measurement": controller.MEASUREMENT_WEIGHT,
     "identity": np.eye(3),
@@ -171,8 +179,6 @@ def _primitive(item: dict, where: str):
 
 def _parse_disturbances(spec, seed_override: int | None) -> simulator.DisturbanceSpec:
     if spec is None:
-        if seed_override is None:
-            return simulator.default_disturbance()
         spec = {}
     _check_keys(spec, ("channel1", "channel2"), "disturbances")
     channels = []
@@ -271,7 +277,7 @@ def _scenario_from_config(config: dict, args) -> simulator.Scenario:
     overrides["schedule"] = _schedule_from_config(config)
     overrides["profile"] = _from_csv(config, "profile_csv", vehicle_model.default_command_profile,
                                      vehicle_model.load_command_profile)
-    if "disturbances" in config or args.seed is not None:
+    if config.get("disturbances") is not None or args.seed is not None:
         overrides["disturbances"] = _parse_disturbances(
             config.get("disturbances"), args.seed
         )
@@ -385,9 +391,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_norm(args) -> int:
     config = _load_config(args.config, _CONFIG_KEYS["norm"])
     system = _system_from_config(config, args)
-    tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
-    if tol <= 0.0:
-        raise ConfigError("tol must be positive")
+    tol = _tol(config, args)
     try:
         value = care_solver.hinf_norm(system, tol=tol)
     except care_solver.UnstableSystem as exc:
@@ -405,9 +409,7 @@ def _cmd_gamma_search(args) -> int:
     if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
         raise ConfigError("gamma bracket must be [lo, hi]")
     lo, hi = (_number(end, "gamma bracket") for end in bracket)
-    tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
-    if tol <= 0.0:
-        raise ConfigError("tol must be positive")
+    tol = _tol(config, args)
 
     history: list[tuple[float, bool]] = []
     gamma_min = care_solver.gamma_search(

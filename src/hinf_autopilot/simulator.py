@@ -84,8 +84,6 @@ __all__ = [
     "metrics_to_dict",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 #: Default integration step (s); resolves the gyro comfortably inside RK4's
 #: accuracy region (omega_n * dt ~ 0.05).
 DEFAULT_DT = 2e-4
@@ -156,7 +154,7 @@ class Noise:
     hold: float = DEFAULT_DT
 
     def __post_init__(self):
-        if self.hold <= 0.0:
+        if not self.hold > 0.0:
             raise ValueError("hold must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -259,7 +257,7 @@ class Scenario:
             raise ValueError(f"unknown feedback_source {self.feedback_source!r}")
         if self.plant_mode not in ("ltv", "lti_frozen"):
             raise ValueError(f"unknown plant_mode {self.plant_mode!r}")
-        if self.servo_tau <= 0.0 or self.servo_rate_limit <= 0.0:
+        if not (self.servo_tau > 0.0 and self.servo_rate_limit > 0.0):
             raise ValueError("servo parameters must be positive")
 
 
@@ -573,16 +571,16 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
     span = float(t[-1] - t[0])
     int_e, e = trace.x[:, 0], trace.x[:, 1]
 
-    rms_e = math.sqrt(float(_trapz(e * e, t)) / span) if span > 0 else 0.0
-    rms_theta = math.sqrt(float(_trapz(int_e * int_e, t)) / span) if span > 0 else 0.0
+    rms_e = math.sqrt(float(np.trapezoid(e * e, t)) / span) if span > 0 else 0.0
+    rms_theta = math.sqrt(float(np.trapezoid(int_e * int_e, t)) / span) if span > 0 else 0.0
 
     d_delta = np.abs(np.diff(trace.delta))
     dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
     saturated = d_delta >= rate_limit * dt * (1.0 - 1e-9)
     sat_fraction = float(saturated.mean()) if len(d_delta) else 0.0
 
-    w_energy = float(_trapz(trace.w[:, 0] ** 2 + trace.w[:, 1] ** 2, t))
-    e_energy = float(_trapz(e * e, t))
+    w_energy = float(np.trapezoid(trace.w[:, 0] ** 2 + trace.w[:, 1] ** 2, t))
+    e_energy = float(np.trapezoid(e * e, t))
     energy_ratio = e_energy / w_energy if w_energy > 0.0 else 0.0
 
     return Metrics(

@@ -91,6 +91,14 @@ class TestServo:
             lti_scenario(servo_tau=-1.0)
         with pytest.raises(ValueError):
             lti_scenario(servo_rate_limit=0.0)
+        # NaN fails every comparison, so a `<= 0` check would let it through.
+        for field in ("servo_tau", "servo_rate_limit"):
+            with pytest.raises(ValueError, match="servo parameters"):
+                lti_scenario(**{field: math.nan})
+
+    def test_infinite_rate_limit_is_allowed(self):
+        # +inf is a valid non-binding rate limit.
+        assert lti_scenario(servo_rate_limit=math.inf).servo_rate_limit == math.inf
 
     @pytest.mark.parametrize("step, saturated", [(5.0, True), (0.0, False)])
     def test_trace_is_the_reference_servo(self, step, saturated):

@@ -395,6 +395,18 @@ class TestGammaSearch:
         assert len(solved) <= 26
         assert len(history) == 43
 
+    def test_tol_below_the_float_spacing_stops_at_adjacent_floats(self):
+        # No float lies strictly between the last two levels, so the
+        # bisection stops there instead of repeating a level forever.
+        history = []
+        found = gamma_search(
+            [[1.0]], [[1.0]], [[1.0]], [[1.0]], (1e-2, 1e3), tol=1e-17, history=history
+        )
+        levels = [gamma for gamma, _ in history]
+        assert len(set(levels)) == len(levels)
+        lo = max(gamma for gamma, ok in history if not ok)
+        assert np.nextafter(lo, math.inf) == found
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol") as raised:

@@ -140,6 +140,20 @@ class TestSimulate:
         assert lines[0].startswith("t,int_e,e,vz")
         assert len(lines) == 2002
 
+    def test_null_disturbances_is_absent(self, tmp_path):
+        # "disturbances": null reads as the key left out: a config without
+        # a scenario then has no disturbance at all.
+        base = {"design": {"t": 60.0, "gamma": 20.0}, "t_span": [60.0, 61.0], "dt": 1e-3}
+        metrics = []
+        for name, config in (("absent", base), ("null", dict(base, disturbances=None))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            metrics.append((out / "metrics.json").read_bytes())
+        assert metrics[0] == metrics[1]
+        assert json.loads(metrics[1])["energy_ratio"] == 0.0
+
     def test_builtin_scenario_with_overrides(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scenario": "paper-lti", "t_span": [60.0, 62.0]}))

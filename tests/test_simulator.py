@@ -171,6 +171,11 @@ class TestDisturbanceSample:
         assert spec3.sample_grid([0.55])[0, 0] == early
         assert spec3.sample_grid([123.4])[0, 0] == late
 
+    @pytest.mark.parametrize("hold", [0.0, -1e-3, math.nan])
+    def test_noise_hold_must_be_positive(self, hold):
+        with pytest.raises(ValueError, match="hold"):
+            Noise(amplitude=0.1, seed=1, hold=hold)
+
     def test_noise_window_equals_full_stream_slice(self):
         # A window that starts late draws only its own samples; they must
         # equal the same indices of the whole seeded stream.
