@@ -1,8 +1,9 @@
 """Command-line surface: synthesis, gamma search, norms, simulation, reporting.
 
-Configuration comes from an optional JSON file plus flag overrides (flags
-win).  Output files are written atomically (temp file, then rename), so an
-invalid run never leaves partial files.  Exit codes: 0 success, 2 config
+Configuration is one dict (`_load_config`): an optional JSON file whose null
+values read as absent keys, with each given flag set over the value it
+overrides.  Output files are written atomically (temp file, then rename),
+so an invalid run never leaves partial files.  Exit codes: 0 success, 2 config
 error, 3 synthesis infeasible, 4 simulation diverged.
 
 Angles cross this boundary in degrees (matching operator convention); the
@@ -89,28 +90,47 @@ def _complex_list(values) -> list:
 
 
 def _check_keys(obj, keys, what: str) -> dict:
-    """obj if it is a JSON object whose keys are all in `keys`, else a ConfigError."""
+    """obj less its null values if it is a JSON object with keys in `keys`, else a ConfigError.
+
+    Every JSON object read comes through here: null reads as absent at every level.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object with keys {', '.join(keys)}")
     unknown = sorted(set(obj) - set(keys))
     if unknown:
         raise ConfigError(f"unknown {what} key {', '.join(map(repr, unknown))}; "
                           f"{what} takes {', '.join(keys)}")
-    return obj
+    return {key: value for key, value in obj.items() if value is not None}
 
 
-def _load_config(path: str | None, keys) -> dict:
-    """The JSON object in `path` ({} without a path); a key not in `keys` is an error."""
-    if path is None:
-        return {}
-    try:
-        with open(path) as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _check_keys(config, keys, "config")
+# Each flag that overrides a config value: argparse dest -> the key path it sets.
+_FLAG_KEYS = {"design_time": ("design", "t"), "gamma": ("design", "gamma"),
+              "plant_mode": ("plant_mode",), "feedback": ("feedback",), "dt": ("dt",),
+              "tol": ("tol",), "bracket": ("gamma_bracket",)}
+
+
+def _load_config(args) -> dict:
+    """The --config object ({} without one) with each given flag set over its value."""
+    config: dict = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as handle:
+                config = json.load(handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        config = _check_keys(config, _CONFIG_KEYS[args.command], "config")
+    if "design" in config:
+        config["design"] = _check_keys(config["design"], ("t", "gamma", "weight"), "design")
+    for dest, (*outer, key) in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            target = config
+            for name in outer:
+                target = target.setdefault(name, {})
+            target[key] = value
+    return config
 
 
 def _number(value, what: str) -> float:
@@ -121,9 +141,9 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _tol(config: dict, args) -> float:
-    """The relative tolerance: --tol, else the config's `tol`, else 1e-6."""
-    tol = _number(args.tol if args.tol is not None else config.get("tol", 1e-6), "tol")
+def _tol(config: dict) -> float:
+    """The relative tolerance: `tol` (from --tol or the config), else 1e-6."""
+    tol = _number(config.get("tol", 1e-6), "tol")
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
     return tol
@@ -163,7 +183,7 @@ def _primitive(item: dict, where: str):
         raise ConfigError(f"unknown disturbance primitive type {kind!r} in {where}; "
                           f"use one of {', '.join(_PRIMITIVES)}")
     names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(item, ("type", *names), f"{kind} primitive")
+    item = _check_keys(item, ("type", *names), f"{kind} primitive")
     types = typing.get_type_hints(cls)
     values = {name: _number(item[name], f"{kind} {name}") for name in names if name in item}
     for name in values:
@@ -178,9 +198,7 @@ def _primitive(item: dict, where: str):
 
 
 def _parse_disturbances(spec, seed_override: int | None) -> simulator.DisturbanceSpec:
-    if spec is None:
-        spec = {}
-    _check_keys(spec, ("channel1", "channel2"), "disturbances")
+    spec = _check_keys(spec, ("channel1", "channel2"), "disturbances")
     channels = []
     for name in ("channel1", "channel2"):
         items = spec.get(name, [])
@@ -197,16 +215,15 @@ def _parse_disturbances(spec, seed_override: int | None) -> simulator.Disturbanc
     return simulator.DisturbanceSpec(channel1=channels[0], channel2=channels[1])
 
 
-def _design_from_config(config: dict, args) -> controller.DesignPoint:
-    """The design point of the config's `design` object, flags overriding.
+def _design_from_config(config: dict, command: str) -> controller.DesignPoint:
+    """The design point of the config's `design` object.
 
     With neither a design time nor gamma it is the shipped 100 s point
     (gamma = 7.8) on the config's schedule.  gamma-search needs no gamma:
     its design point then carries gamma = inf.
     """
-    design_cfg = _check_keys(config.get("design", {}), ("t", "gamma", "weight"), "design")
-    t_design = args.design_time if args.design_time is not None else design_cfg.get("t")
-    gamma = args.gamma if args.gamma is not None else design_cfg.get("gamma")
+    design_cfg = config.get("design", {})
+    t_design, gamma = design_cfg.get("t"), design_cfg.get("gamma")
     weight = _parse_weight(design_cfg.get("weight", "measurement"))
     if gamma is not None:
         gamma = _number(gamma, "gamma")
@@ -216,7 +233,7 @@ def _design_from_config(config: dict, args) -> controller.DesignPoint:
     if t_design is None and gamma is None:
         shipped = controller.design_point_t100()  # on the schedule in use
         t_design, gamma = shipped.t_design, shipped.gamma
-    if gamma is None and args.command == "gamma-search":
+    if gamma is None and command == "gamma-search":
         gamma = math.inf
     if t_design is None or gamma is None:
         raise ConfigError("design time and gamma must be given together")
@@ -231,9 +248,9 @@ def _design_from_config(config: dict, args) -> controller.DesignPoint:
 
 def _from_csv(config: dict, key: str, default, load):
     """load(config[key]), or default() when the key is absent."""
-    path = config.get(key)
-    if path is None:
+    if key not in config:
         return default()
+    path = config[key]
     if not isinstance(path, str):  # open() would take a number as a descriptor
         raise ConfigError(f"{key} must be a file path string, got {path!r}")
     try:
@@ -247,28 +264,30 @@ def _schedule_from_config(config: dict) -> vehicle_model.CoefficientSchedule:
                      vehicle_model.load_coefficient_schedule)
 
 
-def _scenario_from_config(config: dict, args) -> simulator.Scenario:
-    name = config.get("scenario")
+def _scenario_from_config(config: dict, seed: int | None) -> simulator.Scenario:
+    """The config's built-in `scenario` (else a Scenario) with the config's values."""
+    name, builtin = config.get("scenario"), simulator.BUILTIN_SCENARIOS
+    if name is not None and not (isinstance(name, str) and name in builtin):
+        raise ConfigError(f"unknown scenario {name!r}; use one of {sorted(builtin)}")
+    factory = simulator.Scenario if name is None else builtin[name]
     overrides: dict = {}
-    if config.get("t_span") is not None:
+    if "t_span" in config:
         span = config["t_span"]
         if not (isinstance(span, (list, tuple)) and len(span) == 2):
             raise ConfigError("t_span must be a [t0, tf] pair")
         overrides["t_span"] = (_number(span[0], "t_span"), _number(span[1], "t_span"))
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    elif config.get("dt") is not None:
+    if "dt" in config:
         overrides["dt"] = _number(config["dt"], "dt")
 
-    feedback = args.feedback or config.get("feedback")
-    if feedback is not None:
+    if "feedback" in config:
+        feedback = config["feedback"]
         mapping = {"true": "true_state", "gyro": "gyro_rate"}
         if not isinstance(feedback, str) or feedback not in mapping:
             raise ConfigError(f"feedback must be 'true' or 'gyro', got {feedback!r}")
         overrides["feedback_source"] = mapping[feedback]
 
-    plant_mode = args.plant_mode or config.get("plant_mode")
-    if plant_mode is not None:
+    if "plant_mode" in config:
+        plant_mode = config["plant_mode"]
         mapping = {"ltv": "ltv", "lti": "lti_frozen", "lti_frozen": "lti_frozen"}
         if not isinstance(plant_mode, str) or plant_mode not in mapping:
             raise ConfigError(f"plant mode must be 'ltv' or 'lti', got {plant_mode!r}")
@@ -277,29 +296,12 @@ def _scenario_from_config(config: dict, args) -> simulator.Scenario:
     overrides["schedule"] = _schedule_from_config(config)
     overrides["profile"] = _from_csv(config, "profile_csv", vehicle_model.default_command_profile,
                                      vehicle_model.load_command_profile)
-    if config.get("disturbances") is not None or args.seed is not None:
-        overrides["disturbances"] = _parse_disturbances(
-            config.get("disturbances"), args.seed
-        )
-
-    if name is not None:
-        factory = simulator.BUILTIN_SCENARIOS.get(name) if isinstance(name, str) else None
-        if factory is None:
-            raise ConfigError(
-                f"unknown scenario {name!r}; use one of {sorted(simulator.BUILTIN_SCENARIOS)}"
-            )
-        if args.gamma is not None or args.design_time is not None or "design" in config:
-            overrides["design"] = _design_from_config(config, args)
-        try:
-            return factory(**overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    overrides["design"] = _design_from_config(config, args)
-    if "disturbances" not in overrides:
-        overrides["disturbances"] = simulator.DisturbanceSpec()
+    if "disturbances" in config or seed is not None:
+        overrides["disturbances"] = _parse_disturbances(config.get("disturbances", {}), seed)
+    if name is None or "design" in config:
+        overrides["design"] = _design_from_config(config, "simulate")
     try:
-        return simulator.Scenario(**overrides)
+        return factory(**overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -324,13 +326,12 @@ def _builtin_system(name: str) -> care_solver.StateSpace:
     raise ConfigError(f"unknown built-in model {name!r}; use 'gyro' or 'servo'")
 
 
-def _system_from_config(config: dict, args) -> care_solver.StateSpace:
-    if args.model is not None:
-        return _builtin_system(args.model)
-    system = config.get("system")
-    if system is None:
+def _system_from_config(config: dict, model: str | None) -> care_solver.StateSpace:
+    if model is not None:
+        return _builtin_system(model)
+    if "system" not in config:
         raise ConfigError("norm needs --model gyro|servo or a config 'system' entry")
-    _check_keys(system, ("A", "B", "C", "D"), "system")
+    system = _check_keys(config["system"], ("A", "B", "C", "D"), "system")
     try:
         return care_solver.StateSpace(
             A=system["A"], B_in=system["B"], C_out=system["C"], D_ff=system["D"]
@@ -350,8 +351,7 @@ def _out_dir(args) -> str:
 
 
 def _cmd_synthesize(args) -> int:
-    config = _load_config(args.config, _CONFIG_KEYS["synthesize"])
-    design = _design_from_config(config, args)
+    design = _design_from_config(_load_config(args), args.command)
     out = _out_dir(args)
     solution, gain = controller.synthesize(design)
     payload = {
@@ -373,8 +373,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, _CONFIG_KEYS["simulate"])
-    scenario = _scenario_from_config(config, args)
+    scenario = _scenario_from_config(_load_config(args), args.seed)
     out = _out_dir(args)
     trace, metrics = simulator.simulate(scenario)
 
@@ -389,9 +388,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    config = _load_config(args.config, _CONFIG_KEYS["norm"])
-    system = _system_from_config(config, args)
-    tol = _tol(config, args)
+    config = _load_config(args)
+    system = _system_from_config(config, args.model)
+    tol = _tol(config)
     try:
         value = care_solver.hinf_norm(system, tol=tol)
     except care_solver.UnstableSystem as exc:
@@ -401,15 +400,14 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_gamma_search(args) -> int:
-    config = _load_config(args.config, _CONFIG_KEYS["gamma-search"])
-    design = _design_from_config(config, args)
+    config = _load_config(args)
+    design = _design_from_config(config, args.command)
     plant = vehicle_model.assemble_pitch_plant(design.coeffs)
-    bracket = args.bracket if args.bracket is not None else config.get(
-        "gamma_bracket", (1e-3, 1e6))
+    bracket = config.get("gamma_bracket", (1e-3, 1e6))
     if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
         raise ConfigError("gamma bracket must be [lo, hi]")
     lo, hi = (_number(end, "gamma bracket") for end in bracket)
-    tol = _tol(config, args)
+    tol = _tol(config)
 
     history: list[tuple[float, bool]] = []
     gamma_min = care_solver.gamma_search(

@@ -91,7 +91,7 @@ class DesignPoint:
 
     def __post_init__(self):
         self.gamma = float(self.gamma)
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         C_perf = MEASUREMENT_WEIGHT if self.C_perf is None else self.C_perf
         self.C_perf = np.array(C_perf, dtype=float, ndmin=2)

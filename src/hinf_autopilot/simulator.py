@@ -246,7 +246,7 @@ class Scenario:
         if not 0.0 < dt <= MAX_DT:
             raise ValueError(f"dt must be in (0, {MAX_DT}], got {dt}")
         steps = (tf - t0) / dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ValueError(
                 f"t_span ({t0}, {tf}) is {steps:.6g} steps of dt = {dt}; "
                 "it must be a whole number of steps"

@@ -87,6 +87,15 @@ PITCH_COEFFS_T100 = DynamicCoefficients(
     M_delta=-2.1086,
 )
 
+
+def _check_times(times) -> None:
+    """Breakpoint times must be finite, then strictly increasing."""
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("breakpoint times must be finite")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("breakpoint times must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class CoefficientSchedule:
     """Breakpointed coefficient history; linear between anchors, clamped outside."""
@@ -98,9 +107,7 @@ class CoefficientSchedule:
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise ValueError("schedule needs at least one breakpoint")
-        times = [t for t, _ in bps]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoint times must be strictly increasing")
+        _check_times([t for t, _ in bps])
 
     @property
     def times(self) -> np.ndarray:
@@ -143,8 +150,7 @@ class CommandProfile:
         if not bps:
             raise ValueError("command profile needs at least one breakpoint")
         times = [t for t, _ in bps]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoint times must be strictly increasing")
+        _check_times(times)
         if not all(math.isfinite(q) for _, q in bps):
             raise ValueError("command values must be finite")
         ts = np.array(times)

@@ -355,6 +355,106 @@ class TestMalformedConfig:
                   "--out", str(tmp_path / "out")])
 
 
+def run_ok(tmp_path, capsys, name, command, config, flags=()):
+    """(stdout, {file: bytes}) of `command` on `config` and `flags`; it must exit 0."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / name
+    argv = [command, "--config", str(path), *flags]
+    if command in ("simulate", "synthesize"):
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return stdout, files
+
+
+SINE = {"type": "sine", "amplitude": 0.1, "frequency": 1.0}
+STEP = {"type": "step", "t0": 60.5, "amplitude": 0.1}
+
+
+class TestNullIsAbsent:
+    """A null value reads as its key left out, at every level of the config."""
+
+    @pytest.mark.parametrize("command, with_null, without", [
+        ("simulate", dict(SHORT_LTI, design=None), SHORT_LTI),
+        ("gamma-search", {"design": DESIGN, "gamma_bracket": None}, {"design": DESIGN}),
+        ("gamma-search", {"design": DESIGN, "tol": None}, {"design": DESIGN}),
+        ("synthesize", {"design": dict(DESIGN, weight=None)}, {"design": DESIGN}),
+        ("simulate", dict(SHORT_LTI, disturbances={"channel1": [dict(SINE, phase=None)]}),
+         dict(SHORT_LTI, disturbances={"channel1": [SINE]})),
+        ("simulate", dict(SHORT_LTI, disturbances={"channel1": None, "channel2": [STEP]}),
+         dict(SHORT_LTI, disturbances={"channel2": [STEP]})),
+    ])
+    def test_null_reads_as_absent(self, tmp_path, capsys, command, with_null, without):
+        assert (run_ok(tmp_path, capsys, "null", command, with_null)
+                == run_ok(tmp_path, capsys, "absent", command, without))
+
+
+class TestFlagsOverConfig:
+    """A flag sets the config value it overrides before any value is read."""
+
+    @pytest.mark.parametrize("command, config, flags, other", [
+        ("simulate",
+         {"design": {"t": 80.0, "gamma": 9.0}, "plant_mode": "lti", "feedback": "true",
+          "dt": 5e-4},
+         ["--design-time", "80", "--gamma", "9", "--plant-mode", "lti", "--feedback", "true",
+          "--dt", "5e-4"],
+         {"design": {"t": 60.0, "gamma": 20.0}, "plant_mode": "ltv", "feedback": "gyro",
+          "dt": 1e-3}),
+        ("gamma-search",
+         {"design": {"t": 73.5}, "gamma_bracket": [0.01, 100.0], "tol": 1e-4},
+         ["--design-time", "73.5", "--bracket", "0.01", "100", "--tol", "1e-4"],
+         {"design": {"t": 60.0}, "gamma_bracket": [0.1, 1000.0], "tol": 1e-2}),
+    ])
+    def test_flags_equal_config_keys(self, tmp_path, capsys, command, config, flags, other):
+        base = {"t_span": [60.0, 61.0]} if command == "simulate" else {}
+        from_config = run_ok(tmp_path, capsys, "config", command, dict(base, **config))
+        assert run_ok(tmp_path, capsys, "flags", command, base, flags) == from_config
+        # Over other values of the same keys the flags still give the same bytes,
+        # and those other values alone do not.
+        assert run_ok(tmp_path, capsys, "over", command, dict(base, **other), flags) == from_config
+        assert run_ok(tmp_path, capsys, "other", command, dict(base, **other)) != from_config
+
+
+NAN_TIME_SCHEDULE_CSV = (
+    "t,Zv,Zq,Ztheta,Zdelta,Mv,Mq,Mdelta\n"
+    "60,-0.054252,608.84,-6.4939,-3.4855,-0.003439,-0.18404,-1.9594\n"
+    "nan,-0.0020551,1827.8,-6.4939,-6.2007,0.0002725,-0.014108,-2.1086\n"
+)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command, config, flags, message", [
+        ("synthesize", {"schedule_csv": "SCHEDULE"}, [], "breakpoint times must be finite"),
+        ("gamma-search", {"schedule_csv": "SCHEDULE"}, ["--design-time", "60"],
+         "breakpoint times must be finite"),
+        ("simulate", dict(SHORT_LTI, schedule_csv="SCHEDULE"), [],
+         "breakpoint times must be finite"),
+        ("simulate", dict(SHORT_LTI, profile_csv="PROFILE"), [],
+         "breakpoint times must be finite"),
+        ("simulate", dict(SHORT_LTI, t_span=[60.0, 1e308]), [], "t_span"),
+        ("simulate", SHORT_LTI, ["--dt", "nan"], "dt must be a finite number"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, command, config, flags, message):
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text(NAN_TIME_SCHEDULE_CSV)
+        profile = tmp_path / "profile.csv"
+        profile.write_text("t,qc_deg_per_s\n0.0,0.0\nnan,1.0\n")
+        paths = {"SCHEDULE": str(schedule), "PROFILE": str(profile)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: paths.get(v, v) if isinstance(v, str) else v
+                                    for k, v in config.items()}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), *flags]
+        if command in ("simulate", "synthesize"):
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error=config-error" in err and message in err
+        assert not out.exists()
+
+
 @pytest.fixture
 def umask_022():
     previous = os.umask(0o022)
@@ -429,7 +529,8 @@ class TestGammaSearch:
                 "--bracket", "0.1", "100", "--tol", "1e-4"]
         assert main(argv) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        design = cli._design_from_config({}, cli.build_parser().parse_args(argv))
+        config = cli._load_config(cli.build_parser().parse_args(argv))
+        design = cli._design_from_config(config, "gamma-search")
         plant = vehicle_model.assemble_pitch_plant(design.coeffs)
         history = []
         gamma_min = care_solver.gamma_search(

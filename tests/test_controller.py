@@ -203,6 +203,10 @@ class TestDesignPoint:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             design_point_t60(gamma=-1.0)
+        with pytest.raises(ValueError):  # NaN <= 0 is false: the check is `not gamma > 0`
+            design_point_t60(gamma=float("nan"))
+        # gamma-search's design point carries gamma = inf.
+        assert design_point_t60(gamma=float("inf")).gamma == float("inf")
 
     def test_design_point_owns_its_weighting(self):
         # Writing into one design point's weighting leaves the default and

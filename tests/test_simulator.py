@@ -681,6 +681,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="t_span"):
             quiet_scenario(t_span=t_span, dt=dt)
 
+    def test_span_whose_step_count_overflows(self):
+        # 1e308 s is a finite span, but its step count is inf: round() would raise
+        # OverflowError, which is not the ValueError a bad scenario raises.
+        with pytest.raises(ValueError, match="t_span"):
+            quiet_scenario(t_span=(60.0, 1e308))
+
     def test_fields_cannot_skip_the_checks(self):
         # Assigning dt after construction would run 3333 steps ending at
         # 60.9999; a copy with the new dt is checked like a new scenario.

@@ -354,6 +354,21 @@ class TestCsvLoaders:
         with pytest.raises(ValueError, match="strictly increasing"):
             load_coefficient_schedule(path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times(self, bad):
+        # Every ordering comparison with NaN is false, so ordering alone lets it pass.
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientSchedule(((60.0, ZERO_COEFFS), (bad, ZERO_COEFFS)))
+        with pytest.raises(ValueError, match="finite"):
+            CommandProfile(((0.0, 0.0), (bad, 1.0)))
+
+    def test_nan_time_cell(self, tmp_path):
+        # float() reads a "nan" cell as NaN.
+        path = tmp_path / "profile.csv"
+        path.write_text("t,qc_deg_per_s\n0.0,0.0\nnan,1.0\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_command_profile(path)
+
     def test_bad_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,qc_deg_per_s\n0.0,zero\n")
