@@ -205,12 +205,6 @@ def calibrate_state_weight(
     candidate family can actually explain the reference solution; the
     shipped design points do not reach it (see README).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    B_w = np.asarray(B_w, dtype=float)
-    X_ref = np.asarray(X_ref, dtype=float)
-    gamma = float(gamma)
-
     candidates: list[tuple[str, np.ndarray]] = [
         ("measurement [0 1 0]", MEASUREMENT_WEIGHT),
         ("identity", np.eye(3)),

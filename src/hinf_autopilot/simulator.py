@@ -30,6 +30,10 @@ previous chunk's steps through the previous chunk's table: the table is a
 pure function of those inputs, so the trace is the same.  Once the
 schedule is held past its last breakpoint and the command has ended, every
 full chunk reuses one table, converted to Python rows once.
+
+Each disturbance primitive owns its formula, `values(t)`, which
+`sample_grid` sums per channel; `write_trace_csv` formats the trace in
+blocks through `_fan_out`, in process or in forked workers.
 """
 
 from __future__ import annotations
@@ -121,6 +125,9 @@ class Step:
     t0: float
     amplitude: float
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        return np.where(t >= self.t0, self.amplitude, 0.0)
+
 
 @dataclass(frozen=True)
 class Sine:
@@ -130,6 +137,9 @@ class Sine:
     frequency: float
     phase: float = 0.0
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.sin(self.frequency * t + self.phase)
+
 
 @dataclass(frozen=True)
 class Ramp:
@@ -137,6 +147,9 @@ class Ramp:
 
     t0: float
     slope: float
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        return self.slope * np.maximum(t - self.t0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +159,7 @@ class Noise:
     The sample for time t is the floor(t / hold)-th draw of the seeded
     stream, so identical seeds reproduce identical paths regardless of
     query order.  `hold` should match the integration step of the run the
-    spec is used in.
+    spec is used in; a Scenario refuses a hold below a tenth of its step.
     """
 
     amplitude: float
@@ -159,24 +172,15 @@ class Noise:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-
-def _primitive_values(prim, t: np.ndarray) -> np.ndarray:
-    if isinstance(prim, Step):
-        return np.where(t >= prim.t0, prim.amplitude, 0.0)
-    if isinstance(prim, Sine):
-        return prim.amplitude * np.sin(prim.frequency * t + prim.phase)
-    if isinstance(prim, Ramp):
-        return prim.slope * np.maximum(t - prim.t0, 0.0)
-    if isinstance(prim, Noise):
-        idx = np.maximum(np.floor(t / prim.hold + 1e-9).astype(int), 0)
+    def values(self, t: np.ndarray) -> np.ndarray:
+        idx = np.maximum(np.floor(t / self.hold + 1e-9).astype(int), 0)
         first = int(idx.min())
         # Each uniform draw consumes one step of the generator, so advancing
         # by `first` skips exactly the draws before the window.
-        rng = np.random.default_rng(prim.seed)
+        rng = np.random.default_rng(self.seed)
         rng.bit_generator.advance(first)
         samples = rng.uniform(-1.0, 1.0, int(idx.max()) - first + 1)
-        return prim.amplitude * samples[idx - first]
-    raise TypeError(f"unknown disturbance primitive {type(prim).__name__}")
+        return self.amplitude * samples[idx - first]
 
 
 @dataclass(frozen=True)
@@ -191,12 +195,12 @@ class DisturbanceSpec:
     channel2: tuple = ()
 
     def sample_grid(self, t: np.ndarray) -> np.ndarray:
-        """(len(t), 2) array of channel values."""
+        """(len(t), 2) array of channel values: the sum of each primitive's `values(t)`."""
         t = np.asarray(t, dtype=float)
         out = np.zeros((t.size, 2))
         for j, prims in enumerate((self.channel1, self.channel2)):
             for prim in prims:
-                out[:, j] += _primitive_values(prim, t)
+                out[:, j] += prim.values(t)
         return out
 
 
@@ -259,6 +263,12 @@ class Scenario:
             raise ValueError(f"unknown plant_mode {self.plant_mode!r}")
         if not (self.servo_tau > 0.0 and self.servo_rate_limit > 0.0):
             raise ValueError("servo parameters must be positive")
+        # A noise sample window holds every draw from its first index to its
+        # last, so draws per step are capped to keep it below the trace's size.
+        for prim in (*self.disturbances.channel1, *self.disturbances.channel2):
+            if isinstance(prim, Noise) and prim.hold < dt / 10:
+                raise ValueError(f"noise hold must be at least dt / 10 = {dt / 10:g}, "
+                                 f"got {prim.hold:g}")
 
 
 def scenario_paper_ltv(**overrides) -> Scenario:
@@ -333,9 +343,8 @@ def _stage_grids(scenario: Scenario, first: int, last: int):
     """Command and plant inputs of steps first..last-1 on the half-step grid.
 
     The grid is the 2 (last - first) + 1 points from t0 + dt first to
-    t0 + dt last.  Returns q_c and its integral there, and the inputs of
-    `_step_updates` on the grid: the coefficient rows, q_c, dq_c/dt and the
-    integral of q_c.
+    t0 + dt last.  Returns the inputs of `_step_updates` on the grid: the
+    coefficient rows, q_c, dq_c/dt and the integral of q_c.
     """
     t0, _ = scenario.t_span
     dt = scenario.dt
@@ -350,7 +359,7 @@ def _stage_grids(scenario: Scenario, first: int, last: int):
     if scenario.plant_mode == "lti_frozen":
         design = scenario.design
         schedule = CoefficientSchedule(((design.t_design, design.coeffs),))
-    return qc, iqc, (schedule.at(th), qc, dqc, iqc)
+    return schedule.at(th), qc, dqc, iqc
 
 
 def _step_updates(dt: float, grid) -> np.ndarray:
@@ -458,7 +467,8 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     grid = table = table_rows = None
     for first in range(0, n_steps, _STEP_CHUNK):
         last = min(first + _STEP_CHUNK, n_steps)
-        qc, iqc, chunk_grid = _stage_grids(scenario, first, last)
+        chunk_grid = _stage_grids(scenario, first, last)
+        _, qc, _, iqc = chunk_grid
         if grid is not None and _same_bits(chunk_grid, grid):
             if table_rows is None:
                 table_rows = table.tolist()
@@ -528,11 +538,10 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
             delta = delta_new
 
             if not isfinite(x0 + x1 + x2 + delta + g1 + g2):
+                diverged_at = t0 + (first + len(rec[0])) * dt
                 break
 
-        if not isfinite(x0 + x1 + x2 + delta + g1 + g2):
-            diverged_at = t0 + (first + len(rec[0])) * dt
-        elif last == n_steps:
+        if diverged_at is None and last == n_steps:
             # Final sample at tf.
             e_ch = (qc_nodes[-1] - g1) if use_gyro else x1
             for r, value in zip(rec, (x0, x1, x2, delta, -(k0 * x0 + k1g * e_ch + k2g * x2), g1)):
@@ -598,12 +607,12 @@ _TRACE_HEADER = "t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad
 #: Rows formatted per block; a block of the paper-ltv trace is about 0.4 MB.
 _BLOCK_ROWS = 2048
 
-#: Blocks each worker may have in flight; bounds the text the writer holds.
+#: Results each `_fan_out` worker may have in flight; bounds the text the writer holds.
 _BLOCKS_PER_WORKER = 2
 
-#: Trace columns in a forked worker; set by the pool initializer in the
-#: worker only, from the writer's memory shared through fork (no pickling).
-_worker_columns: list = []
+#: The callable of `_fan_out`'s forked workers.  It is set before the
+#: workers fork, so they inherit it and only items and results are pickled.
+_fan_out_fn = None
 
 
 def _format_block(cols: list, start: int, stop: int) -> bytes:
@@ -613,65 +622,62 @@ def _format_block(cols: list, start: int, stop: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _set_worker_columns(cols: list) -> None:
-    _worker_columns[:] = cols
-
-
-def _format_worker_block(start: int, stop: int) -> bytes:
-    return _format_block(_worker_columns, start, stop)
-
-
 def _worker_count() -> int:
     """CPUs this process may run on; 1 where forking is unavailable or unsafe.
 
     Forking a process that runs other threads can deadlock the child on a
-    lock one of those threads held, so such a process formats in process.
+    lock one of those threads held, so such a process works in process.
     """
-    import multiprocessing
     import threading
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity is not None else 1
 
 
-def _write_blocks_forked(handle, cols: list, bounds: list, workers: int) -> None:
-    """Format the blocks in forked workers and write them in order.
+def _call_fan_out_fn(item):
+    return _fan_out_fn(item)
 
-    At most `workers * _BLOCKS_PER_WORKER` blocks are queued or finished
-    but not yet written.  A worker's exception is raised here.
+
+def _fan_out(fn, items):
+    """Yield fn(item) for each of the sequence `items`, in order.
+
+    In process for fewer than two items or on one CPU; otherwise in
+    `_worker_count()` forked workers, with at most
+    `workers * _BLOCKS_PER_WORKER` results submitted but not yet yielded.
+    A worker's exception is raised here.
     """
+    global _fan_out_fn
+    workers = _worker_count() if len(items) >= 2 else 1
+    if workers == 1:
+        yield from map(fn, items)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    _fan_out_fn = fn
     pending: deque = deque()
-    executor = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_columns,
-        initargs=(cols,),
-    )
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        for start, stop in bounds:
+        for item in items:
             if len(pending) == workers * _BLOCKS_PER_WORKER:
-                handle.write(pending.popleft().result())
-            pending.append(executor.submit(_format_worker_block, start, stop))
+                yield pending.popleft().result()
+            pending.append(executor.submit(_call_fan_out_fn, item))
         while pending:
-            handle.write(pending.popleft().result())
+            yield pending.popleft().result()
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
+        _fan_out_fn = None
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace with round-trip-exact decimal floats.
 
     Each value is written as `repr(float(v))`.  Rows are formatted in
-    blocks; when the trace has two or more blocks and the process may run
-    on several CPUs, the blocks are formatted in that many forked workers
-    and written in order, with the same bytes as in process.
+    blocks of _BLOCK_ROWS through `_fan_out` (forked workers when the trace
+    has two or more blocks and the process may run on several CPUs) and
+    written in order, with the same bytes either way.
     """
     cols = [
         np.asarray(col, dtype=float)
@@ -689,16 +695,9 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
             trace.q_meas,
         )
     ]
-    n_rows = len(cols[0])
-    bounds = [
-        (start, min(start + _BLOCK_ROWS, n_rows))
-        for start in range(0, n_rows, _BLOCK_ROWS)
-    ]
-    workers = _worker_count() if len(bounds) >= 2 else 1
     with open(path, "wb") as handle:
         handle.write((_TRACE_HEADER + "\n").encode("ascii"))
-        if workers > 1:
-            _write_blocks_forked(handle, cols, bounds, workers)
-        else:
-            for start, stop in bounds:
-                handle.write(_format_block(cols, start, stop))
+        handle.writelines(_fan_out(
+            lambda start: _format_block(cols, start, start + _BLOCK_ROWS),
+            range(0, len(cols[0]), _BLOCK_ROWS),
+        ))

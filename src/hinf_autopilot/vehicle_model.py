@@ -107,20 +107,14 @@ class CoefficientSchedule:
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise ValueError("schedule needs at least one breakpoint")
-        _check_times([t for t, _ in bps])
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.breakpoints])
-
-    def table(self) -> np.ndarray:
-        """Coefficient values stacked as (n_breakpoints, 7)."""
-        return np.array([c.as_array() for _, c in self.breakpoints])
+        times = [t for t, _ in bps]
+        _check_times(times)
+        object.__setattr__(self, "_ts", np.array(times))
+        object.__setattr__(self, "_columns", np.array([c.as_array() for _, c in bps]).T)
 
     def at(self, t) -> np.ndarray:
         """Rows of the 7 coefficients at the times t, shape t.shape + (7,)."""
-        times, table = self.times, self.table()
-        return np.moveaxis(np.array([np.interp(t, times, col) for col in table.T]), 0, -1)
+        return np.moveaxis(np.array([np.interp(t, self._ts, col) for col in self._columns]), 0, -1)
 
 
 def default_schedule() -> CoefficientSchedule:

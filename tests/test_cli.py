@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,6 +260,15 @@ class TestSimulate:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_noise_hold_below_a_tenth_of_dt_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(SHORT_LTI, disturbances={"channel1": [
+            {"type": "noise", "amplitude": 0.1, "seed": 1, "hold": 1e-7}]})))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert "noise hold" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_profile_csv_descriptor_exits_2(self, tmp_path, capsys):
         # A number is not a path: open() would read the descriptor's file.
@@ -639,3 +650,15 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+def test_import_loads_no_process_pool():
+    # The fork machinery of the trace writer is imported only when it forks.
+    code = ("import sys, hinf_autopilot.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -599,16 +600,16 @@ def random_trace(n: int, seed: int = 0) -> SimulationTrace:
 class TestTraceCsvBytes:
     @pytest.fixture
     def forked_calls(self, monkeypatch):
-        """Count calls of the forked writer, with two workers available."""
+        """Worker counts of the executors `_fan_out` creates, with two workers available."""
         calls = []
-        forked = simulator._write_blocks_forked
+        executor = concurrent.futures.ProcessPoolExecutor
 
-        def spy(*args):
-            calls.append(args[-1])
-            return forked(*args)
+        def spy(max_workers, **kwargs):
+            calls.append(max_workers)
+            return executor(max_workers, **kwargs)
 
         monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
-        monkeypatch.setattr(simulator, "_write_blocks_forked", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         return calls
 
     def test_one_row(self, tmp_path, forked_calls):
@@ -663,6 +664,28 @@ class TestTraceCsvBytes:
             write_trace_csv(random_trace(1000), tmp_path / "trace.csv")
 
 
+class TestFanOut:
+    def test_in_flight_bound(self, monkeypatch):
+        # Results submitted to the two workers but not yet yielded; a fan-out
+        # that submitted every item up front would hold all 20.
+        submitted = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        results, in_flight = [], []
+        for value in simulator._fan_out(lambda k: k * k, range(20)):
+            in_flight.append(len(submitted) - len(results))
+            results.append(value)
+        assert results == [k * k for k in range(20)]
+        assert len(submitted) == 20
+        assert max(in_flight) == 2 * simulator._BLOCKS_PER_WORKER
+
+
 class TestScenarioValidation:
     def test_dt_cap(self):
         with pytest.raises(ValueError):
@@ -695,6 +718,19 @@ class TestScenarioValidation:
             s.dt = 3e-4
         with pytest.raises(ValueError, match="t_span"):
             dataclasses.replace(s, dt=3e-4)
+
+    @pytest.mark.parametrize("hold", [1e-9, 1e-7, 0.99e-4])
+    def test_noise_hold_below_a_tenth_of_dt(self, hold):
+        # The noise window holds every draw from its first index to its last:
+        # 1e7 draws a second at hold 1e-7, 8 GB of draws over a 100 s span.
+        noise = DisturbanceSpec(channel2=(Noise(amplitude=0.1, seed=1, hold=hold),))
+        with pytest.raises(ValueError, match="noise hold"):
+            quiet_scenario(dt=1e-3, disturbances=noise)
+
+    def test_noise_hold_of_a_tenth_of_dt(self):
+        noise = DisturbanceSpec(channel1=(Noise(amplitude=0.1, seed=1, hold=1e-4),))
+        trace, _ = simulate(quiet_scenario(dt=1e-3, t_span=(60.0, 60.01), disturbances=noise))
+        assert len(trace.t) == 11
 
     def test_enum_fields(self):
         with pytest.raises(ValueError):

@@ -144,7 +144,7 @@ class TestAssemblePitchPlant:
 
 def forcing_at(coeffs, profile, t):
     """(f2, f3) at time t: `pitch_terms` of the simulator's precompute inputs, _stage_grids."""
-    _, _, grid = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 0, 1)
+    grid = _stage_grids(frozen_plant_scenario(coeffs, 1e-3, (t, t + 1e-3), profile), 0, 1)
     f = pitch_terms(*grid)[3]
     return f[0, 1], f[0, 2]
 
