@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,25 @@ class TestDisturbanceSample:
             assert state_after[name] is value, name
         for name, size in sizes_before.items():
             assert len(state_after[name]) == size, name
+
+    @pytest.mark.parametrize("prim", [
+        Step(t0=1.0, amplitude=0.1), Sine(amplitude=0.2, frequency=1.0),
+        Ramp(t0=2.0, slope=0.5), Noise(amplitude=1.0, seed=1),
+    ], ids=["step", "sine", "ramp", "noise"])
+    def test_empty_time_array(self, prim):
+        assert prim.values(np.array([])).shape == (0,)
+        samples = DisturbanceSpec(channel1=(prim,), channel2=(prim,)).sample_grid(np.array([]))
+        assert samples.shape == (0, 2)
+
+    def test_channels_are_tuples_of_what_was_given(self):
+        given = []
+        spec = DisturbanceSpec(channel1=given, channel2=[Step(t0=0.0, amplitude=0.1)])
+        assert isinstance(spec.channel1, tuple) and isinstance(spec.channel2, tuple)
+        scenario = quiet_scenario(t_span=(60.0, 60.01), dt=1e-3, disturbances=spec)
+        given.append(Noise(0.1, 1, hold=1e-6))  # a hold the Scenario refuses
+        assert spec.channel1 == ()
+        trace, _ = simulate(scenario)
+        assert not trace.w[:, 0].any()
 
 
 class TestSimulate:
@@ -422,23 +442,33 @@ class TestStepChunks:
 
     CHUNKS = [1, 7, 10**9]
 
+    # Disturbances are sampled per chunk.  A noise draw lasts 3 steps, so
+    # draws straddle chunk boundaries; the step and the ramp start in the span.
+    ALL_PRIMITIVES = DisturbanceSpec(
+        channel1=(Noise(amplitude=0.05, seed=5, hold=3 * simulator.DEFAULT_DT),
+                  Step(t0=80.0, amplitude=0.02)),
+        channel2=(Sine(amplitude=0.05, frequency=3.0), Ramp(t0=80.3, slope=0.01)),
+    )
+
     @pytest.fixture(scope="class", params=[
         (scenario_paper_ltv, "gyro_rate", (79.0, 80.8)),
         (scenario_paper_lti, "true_state", (79.0, 80.8)),
         (scenario_paper_ltv, "gyro_rate", (99.5, 102.0)),
         (scenario_paper_lti, "true_state", (79.5, 82.0)),
-    ], ids=["ltv-gyro", "lti-true", "ltv-gyro-reuse", "lti-true-reuse"])
+        (scenario_paper_ltv, "gyro_rate", (79.0, 80.8), ALL_PRIMITIVES),
+    ], ids=["ltv-gyro", "lti-true", "ltv-gyro-reuse", "lti-true-reuse",
+            "ltv-gyro-all-primitives"])
     def run(self, request):
         # 9000 steps: two boundaries of the default chunk, and the end of
         # the command ramp at 80 s.  The reuse spans (12500 steps) cross the
         # last schedule breakpoint (100 s) or the end of the command (80 s)
         # in their first chunk, so the third chunk of 4096 steps, and every
         # later chunk of 1 or 7, reuses the previous chunk's step table.
-        factory, feedback, span = request.param
+        factory, feedback, span, *disturbances = request.param
         scenario = factory(
             t_span=span,
             feedback_source=feedback,
-            disturbances=DisturbanceSpec(
+            disturbances=disturbances[0] if disturbances else DisturbanceSpec(
                 channel1=(Noise(amplitude=0.05, seed=11),),
                 channel2=(Sine(amplitude=0.05, frequency=3.0),),
             ),
@@ -549,6 +579,88 @@ class TestComputeMetrics:
             self.synthetic_trace(t, np.full_like(t, 0.3), w1=np.full_like(t, 0.6))
         )
         assert metrics.energy_ratio == pytest.approx(0.25, rel=1e-9)
+
+    @staticmethod
+    def whole_column_metrics(trace, rate_limit=SERVO_RATE_LIMIT):
+        """compute_metrics' formulas on whole columns, through np.trapezoid."""
+        t = trace.t
+        span = float(t[-1] - t[0])
+        int_e, e = trace.x[:, 0], trace.x[:, 1]
+        e_energy = float(np.trapezoid(e * e, t))
+        theta_energy = float(np.trapezoid(int_e * int_e, t))
+        w_energy = float(np.trapezoid(trace.w[:, 0] ** 2 + trace.w[:, 1] ** 2, t))
+        d_delta = np.abs(np.diff(trace.delta))
+        dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
+        saturated = d_delta >= rate_limit * dt * (1.0 - 1e-9)
+        return Metrics(
+            rms_e=math.sqrt(e_energy / span) if span > 0 else 0.0,
+            max_abs_e=float(np.abs(e).max()),
+            rms_theta_err=math.sqrt(theta_energy / span) if span > 0 else 0.0,
+            max_abs_delta=float(np.abs(trace.delta).max()),
+            servo_saturation_fraction=float(saturated.mean()) if len(d_delta) else 0.0,
+            energy_ratio=e_energy / w_energy if w_energy > 0.0 else 0.0,
+        )
+
+    @staticmethod
+    def random_trace(n, seed):
+        """Jittered time steps, values over 15 decades with -0.0 among them,
+        a constant w column and a servo that hits its rate bound on about half its steps."""
+        rng = np.random.default_rng(seed)
+        t = 60.0 + np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e-3
+
+        def column():
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 3.0, n)
+            values[rng.random(n) < 0.1] = -0.0
+            return values
+
+        dt = float(t[1] - t[0]) if n > 1 else 1.0
+        factors = rng.uniform(0.5, 1.5, n - 1)
+        factors[:2] = (1.5, 0.5)[:n - 1]  # the first step saturates, the second does not
+        steps = SERVO_RATE_LIMIT * dt * rng.choice([-1.0, 1.0], n - 1) * factors
+        return SimulationTrace(
+            t=t, x=np.column_stack([column(), column(), column()]), theta=column(), q=column(),
+            delta=np.concatenate([[0.0], np.cumsum(steps)]), u=column(),
+            w=np.column_stack([column(), np.full(n, 0.3)]), q_meas=column(),
+        )
+
+    @staticmethod
+    def float_bits(metrics):
+        return [value.hex() for value in dataclasses.astuple(metrics)]
+
+    @pytest.mark.parametrize("rows", [
+        1, 2, 3, simulator._METRIC_BLOCK - 1, simulator._METRIC_BLOCK,
+        simulator._METRIC_BLOCK + 1, 3 * simulator._METRIC_BLOCK + 5,
+    ])
+    def test_blocks_give_the_whole_column_bits(self, rows):
+        trace = self.random_trace(rows, seed=rows)
+        metrics, expected = compute_metrics(trace), self.whole_column_metrics(trace)
+        assert metrics == expected
+        assert self.float_bits(metrics) == self.float_bits(expected)
+        if rows > 2:
+            assert 0.0 < metrics.servo_saturation_fraction < 1.0
+
+    def test_paper_ltv_metrics_are_the_whole_column_bits(self):
+        trace, metrics = simulate(scenario_paper_ltv(t_span=(60.0, 70.0)))
+        assert len(trace.t) > simulator._METRIC_BLOCK
+        expected = self.whole_column_metrics(trace)
+        assert metrics == expected
+        assert self.float_bits(metrics) == self.float_bits(expected)
+
+    def test_allocates_one_column_and_two_blocks(self):
+        rows = 400_000
+        trace = self.random_trace(rows, seed=0)
+        compute_metrics(trace)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            compute_metrics(trace)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = 8 * (simulator._METRIC_BLOCK + 1)
+        # 16 KiB for the Python objects: the block slices, closures and peaks.
+        assert peak <= 8 * (rows - 1) + 2 * block + 16384
 
 
 class TestTraceCsv:
