@@ -21,12 +21,15 @@ schedule at the step nodes and midpoints, evaluates `pitch_terms` there (a
 frozen plant is a one-breakpoint schedule), and folds the four RK4 stages
 into one affine map per step (an algebraically identical regrouping,
 batched with numpy) so that full-length runs at dt = 2e-4 stay fast in pure
-Python.  The run goes in chunks of _STEP_CHUNK steps: each chunk's
+Python.  The run goes in chunks of _STEP_CHUNK (2048) steps: each chunk's
 precompute and disturbance samples are built, stepped through and recorded
 into the trace before the next, and compute_metrics integrates in blocks
 into one scratch column.  The peak memory is the trace (88 bytes a step),
-one scratch column (8 bytes a step) and one chunk: 1.09 times the trace's
-bytes at 1 M steps, measured with ru_maxrss.  A chunk whose plant inputs
+one scratch column (8 bytes a step) and one chunk: 1.10 times the trace's
+bytes at 1 M steps, measured with ru_maxrss.  One chunk is about 2-3 MB:
+under tracemalloc, a 20 k-step paper-ltv run peaks 2.2 MB above its
+1.76 MB trace while the plant changes (80-84 s) and 3.1 MB while one table
+is reused as Python rows (120-124 s).  A chunk whose plant inputs
 (the coefficient rows, q_c, dq_c/dt and the integral of q_c on its
 half-step grid) have the same bits as the previous chunk's steps through
 the previous chunk's table: the table is a pure function of those inputs,
@@ -345,8 +348,10 @@ def metrics_to_dict(metrics: Metrics) -> dict:
 # Integration
 
 #: Steps precomputed, integrated and recorded together; bounds the
-#: precompute alive at once to a few MB, whatever the length of the run.
-_STEP_CHUNK = 4096
+#: precompute alive at once to 2-3 MB, whatever the length of the run.  At
+#: 4096 steps the dispersion benchmark peaks about 4 MB higher for no less
+#: CPU; at 1024 about 2 MB lower, for about 5 % more CPU.
+_STEP_CHUNK = 2048
 
 
 def _stage_grids(scenario: Scenario, first: int, last: int):
@@ -397,18 +402,23 @@ def _step_updates(dt: float, grid) -> np.ndarray:
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    L1 = A1
-    L2 = A2 + half * (A2 @ L1)
-    L3 = A2 + half * (A2 @ L2)
-    L4 = A3 + dt * (A3 @ L3)
-    M = np.eye(3) + sixth * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
+    # The stages L1 = A1, L2 = A2 + half A2 L1, L3 = A2 + half A2 L2 and
+    # L4 = A3 + dt A3 L3, and M = I + sixth (L1 + 2 L2 + 2 L3 + L4), built
+    # in place: IEEE + and * commute exactly and 2.0 * is exact, so the
+    # bits are the textbook expressions', without their temporaries.
+    L2 = _scaled_plus(np.matmul(A2, A1), half, A2)
+    L3 = _scaled_plus(np.matmul(A2, L2), half, A2)
+    L4 = _scaled_plus(np.matmul(A3, L3), dt, A3)
+    M = _fold(A1, L2, L3, L4, sixth)
+    M += np.eye(3)
+    L3 = L4 = None
 
     def input_propagator(c_nodes, c2):
         n1 = c_nodes[:-1]
-        n2 = half * _matvec(A2, n1) + c2
-        n3 = half * _matvec(A2, n2) + c2
-        n4 = dt * _matvec(A3, n3) + c_nodes[1:]
-        return sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
+        n2 = _scaled_plus(_matvec(A2, n1), half, c2)
+        n3 = _scaled_plus(_matvec(A2, n2), half, c2)
+        n4 = _scaled_plus(_matvec(A3, n3), dt, c_nodes[1:])
+        return _fold(n1, n2, n3, n4, sixth)
 
     out = np.empty((n_steps, 21))
     out[:, 0:9] = M.reshape(n_steps, 9)
@@ -418,6 +428,24 @@ def _step_updates(dt: float, grid) -> np.ndarray:
         out[:, 12 + j:18:2] = input_propagator(column, column[:-1])
     out[:, 18:21] = input_propagator(f_nodes, f2)
     return out
+
+
+def _scaled_plus(product: np.ndarray, h: float, c) -> np.ndarray:
+    """h * product + c, bit for bit, built in `product`."""
+    product *= h
+    product += c
+    return product
+
+
+def _fold(k1, k2, k3, k4, sixth: float) -> np.ndarray:
+    """sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), bit for bit, built in k2 (k3 is doubled)."""
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= sixth
+    return k2
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -477,21 +505,24 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     delta = 0.0
     g2 = 0.0
     diverged_at = None
-    grid = table = table_rows = None
+    grid = table = table_rows = steps = None
     for first in range(0, n_steps, _STEP_CHUNK):
         last = min(first + _STEP_CHUNK, n_steps)
         chunk_grid = _stage_grids(scenario, first, last)
-        _, qc, _, iqc = chunk_grid
         if grid is not None and _same_bits(chunk_grid, grid):
             if table_rows is None:
-                table_rows = table.tolist()
+                table_rows, table = table.tolist(), None
             steps = table_rows
         else:
-            # Drop the old rows first: while alive, their 4096 lists are
-            # traversed by every garbage collection the new rows trigger.
-            grid, table_rows = chunk_grid, None
+            # Drop the old table and rows first: while alive, the rows'
+            # _STEP_CHUNK lists are traversed by every garbage collection
+            # the new rows trigger, and they sit beside the new table.
+            table = table_rows = steps = None
+            grid = chunk_grid
             table = _step_updates(dt, grid)
             steps = map(np.ndarray.tolist, table)
+        chunk_grid = None  # equal to `grid` when reused: one copy is kept
+        _, qc, _, iqc = grid
         qc_nodes = qc[::2].tolist()
         if first == 0:
             g1 = qc_nodes[0]  # gyro pre-settled on the initial true rate
@@ -572,7 +603,7 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
             break
 
     # Not kept through compute_metrics, whose scratch column sets the peak memory.
-    grid = chunk_grid = table = table_rows = steps = None
+    grid = table = table_rows = steps = qc = iqc = None
     sl = slice(0, first + n_rows)
     trace = SimulationTrace(
         t=t_grid[sl], x=x[sl], theta=theta[sl], q=q[sl], delta=delta_out[sl], u=u_out[sl],
@@ -600,6 +631,8 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
     """
     t = trace.t
     n = len(t)
+    if n == 0:
+        raise ValueError("compute_metrics needs at least one sample; the trace is empty")
     span = float(t[-1] - t[0])
     int_e, e, delta = trace.x[:, 0], trace.x[:, 1], trace.delta
     # Row blocks that share their last row with the next block, so each

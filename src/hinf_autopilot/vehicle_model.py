@@ -155,6 +155,8 @@ class CommandProfile:
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_qs", qs)
         object.__setattr__(self, "_cum", cum)
+        if len(ts) > 1:  # rate_integral's offset; one breakpoint needs none
+            object.__setattr__(self, "_from_first_at_zero", self._integral_from_first(0.0))
 
     def rate(self, t) -> float | np.ndarray:
         """q_c at time t (scalar or array)."""
@@ -183,7 +185,7 @@ class CommandProfile:
         if len(ts) == 1:
             out = qs[0] * np.asarray(t, dtype=float)
         else:
-            out = self._integral_from_first(t) - self._integral_from_first(0.0)
+            out = self._integral_from_first(t) - self._from_first_at_zero
         return float(out) if np.isscalar(t) else out
 
     def _integral_from_first(self, t) -> np.ndarray:

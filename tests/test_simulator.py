@@ -49,6 +49,7 @@ from hinf_autopilot.vehicle_model import (
     DynamicCoefficients,
     assemble_pitch_plant,
     coefficients_at,
+    pitch_terms,
 )
 
 
@@ -127,6 +128,70 @@ class TestRk4Step:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             quiet_scenario(dt=-0.1)
+
+
+def textbook_step_updates(dt, grid):
+    """_step_updates with each RK4 stage and the fold written as one expression."""
+    rows, qc, dqc, iqc = grid
+    nodes, mids = (
+        pitch_terms(rows[sl], qc[sl], dqc[sl], iqc[sl])
+        for sl in (slice(0, None, 2), slice(1, None, 2))
+    )
+    A_nodes, B_nodes, B_w, f_nodes = nodes
+    A2, B2, _, f2 = mids
+    A1, A3 = A_nodes[:-1], A_nodes[1:]
+    n_steps = len(A2)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    L1 = A1
+    L2 = A2 + half * (A2 @ L1)
+    L3 = A2 + half * (A2 @ L2)
+    L4 = A3 + dt * (A3 @ L3)
+    M = np.eye(3) + sixth * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
+
+    def matvec(mats, vecs):
+        return np.einsum("kij,kj->ki", mats, vecs)
+
+    def input_propagator(c_nodes, c2):
+        n1 = c_nodes[:-1]
+        n2 = half * matvec(A2, n1) + c2
+        n3 = half * matvec(A2, n2) + c2
+        n4 = dt * matvec(A3, n3) + c_nodes[1:]
+        return sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
+
+    out = np.empty((n_steps, 21))
+    out[:, 0:9] = M.reshape(n_steps, 9)
+    out[:, 9:12] = input_propagator(B_nodes, B2)
+    for j in range(2):
+        column = np.broadcast_to(B_w[:, j], (n_steps + 1, 3))
+        out[:, 12 + j:18:2] = input_propagator(column, column[:-1])
+    out[:, 18:21] = input_propagator(f_nodes, f2)
+    return out
+
+
+class TestStepUpdates:
+    """_step_updates builds the RK4 fold in place, with the textbook fold's bits."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 2047, 2048, 4097])
+    def test_in_place_fold_has_the_textbook_bits(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        points = 2 * n_steps + 1
+
+        def values(*shape):
+            # Magnitudes over six decades and both signs; about a tenth of
+            # them, the first among them, -0.0.
+            out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+            negative_zero = rng.random(shape) < 0.1
+            negative_zero.flat[0] = True
+            out[negative_zero] = -0.0
+            return out
+
+        grid = (values(points, 7), values(points), values(points), values(points))
+        got = simulator._step_updates(simulator.DEFAULT_DT, grid)
+        expected = textbook_step_updates(simulator.DEFAULT_DT, grid)
+        assert got.shape == expected.shape == (n_steps, 21)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestDisturbanceSample:
@@ -440,7 +505,8 @@ def diverging_scenario():
 class TestStepChunks:
     """simulate precomputes and records _STEP_CHUNK steps at a time; the size never shows."""
 
-    CHUNKS = [1, 7, 10**9]
+    # 4096 is twice the default chunk: its traces too are the default's bits.
+    CHUNKS = [1, 7, 4096, 10**9]
 
     # Disturbances are sampled per chunk.  A noise draw lasts 3 steps, so
     # draws straddle chunk boundaries; the step and the ramp start in the span.
@@ -459,11 +525,12 @@ class TestStepChunks:
     ], ids=["ltv-gyro", "lti-true", "ltv-gyro-reuse", "lti-true-reuse",
             "ltv-gyro-all-primitives"])
     def run(self, request):
-        # 9000 steps: two boundaries of the default chunk, and the end of
-        # the command ramp at 80 s.  The reuse spans (12500 steps) cross the
-        # last schedule breakpoint (100 s) or the end of the command (80 s)
-        # in their first chunk, so the third chunk of 4096 steps, and every
-        # later chunk of 1 or 7, reuses the previous chunk's step table.
+        # 9000 steps: four boundaries of the default chunk (2048 steps), and
+        # the end of the command ramp at 80 s.  The reuse spans (12500 steps)
+        # cross the last schedule breakpoint (100 s) or the end of the
+        # command (80 s) after 2500 steps, so the full chunks of 2048 or 4096
+        # steps from the second one after the crossing on, and every later
+        # chunk of 1 or 7, reuse the previous chunk's step table.
         factory, feedback, span, *disturbances = request.param
         scenario = factory(
             t_span=span,
@@ -494,15 +561,21 @@ class TestStepChunks:
         assert chunked.value.time == expected.value.time
         assert_traces_equal(chunked.value.trace, expected.value.trace)
 
-    @pytest.mark.parametrize("factory, span, builds", [
+    @pytest.mark.parametrize("factory, span, chunk, builds", [
         # Command over and plant frozen: the first chunk and the short last one.
-        (scenario_paper_lti, (80.0, 100.0), 2),
+        (scenario_paper_lti, (80.0, 100.0), 4096, 2),
         # Coefficients still interpolated towards the 100 s breakpoint: all 3 chunks.
-        (scenario_paper_ltv, (90.0, 92.0), 3),
-    ], ids=["lti-after-command", "ltv-before-last-breakpoint"])
+        (scenario_paper_ltv, (90.0, 92.0), 4096, 3),
+        # The same span in chunks of the default 2048 steps: all 5.
+        (scenario_paper_ltv, (90.0, 92.0), None, 5),
+    ], ids=["lti-after-command", "ltv-before-last-breakpoint",
+            "ltv-before-last-breakpoint-default-chunk"])
     def test_step_table_is_built_once_per_distinct_chunk(self, monkeypatch, factory, span,
-                                                         builds):
-        assert simulator._STEP_CHUNK == 4096
+                                                         chunk, builds):
+        if chunk is None:
+            assert simulator._STEP_CHUNK == 2048
+        else:
+            monkeypatch.setattr(simulator, "_STEP_CHUNK", chunk)
         step_updates, built = simulator._step_updates, []
 
         def counted(*args):
@@ -556,6 +629,16 @@ class TestComputeMetrics:
             ),
             q_meas=zeros.copy(),
         )
+
+    def test_empty_trace_raises_value_error(self):
+        empty = self.synthetic_trace(np.zeros(0), np.zeros(0))
+        with pytest.raises(ValueError, match="trace is empty"):
+            compute_metrics(empty)
+
+    def test_one_row_trace(self):
+        trace = self.synthetic_trace(np.array([60.0]), np.array([-0.25]),
+                                     w1=np.array([0.5]), delta=np.array([0.125]))
+        assert compute_metrics(trace) == Metrics(0.0, 0.25, 0.0, 0.125, 0.0, 0.0)
 
     def test_all_zero_trace(self):
         t = np.linspace(0.0, 1.0, 101)

@@ -278,6 +278,14 @@ class TestCommandProfile:
     def test_integral_is_zero_at_time_zero(self, breakpoints):
         assert CommandProfile(breakpoints).rate_integral(0.0) == 0.0
 
+    def test_one_breakpoint_profile_computes_no_offset(self, recwarn):
+        # The integral's offset at time zero is stored for two or more
+        # breakpoints only: on one, its formula divides 0 by 0.
+        profile = CommandProfile(((5.0, 0.25),))
+        assert profile.rate_integral(4.0) == 1.0
+        assert profile.rate_integral(np.array([-2.0]))[0] == -0.5
+        assert not recwarn.list
+
     def test_derivative_piecewise(self):
         profile = CommandProfile(((0.0, 0.0), (10.0, 1.0), (20.0, 1.0)))
         assert profile.rate_derivative(5.0) == pytest.approx(0.1)
