@@ -8,13 +8,13 @@ for its stabilizing, positive-semidefinite root, extracts state-feedback
 gains K = B' X, computes H-infinity norms of stable state-space systems by
 a level-set iteration (an evaluated gain within the requested tolerance of
 the norm, or an error), and bisects the attenuation level down to the
-feasibility boundary.  The bisection decides each level with the same
-acceptance checks as solve_care (stable subspace, PSD root, stable A - G X,
-residual bound) but skips the PBH probes, the gain and the loop poles,
-which do not depend on gamma or do not decide feasibility.  The bisection's
-first run of feasible levels is known in advance (hi halves toward lo), so
-their verdicts come from a binary search over the bracket ends and the
-run's levels rather than one solve per level.
+feasibility boundary.  One function forms G = BB' - gamma^-2 BwBw'; the
+bisection decides each level on it by solve_care's checks (stable subspace,
+PSD root, stable A - G X, residual bound), skipping the PBH probes, gain
+and loop poles, which do not depend on gamma or do not decide feasibility.
+The bisection's first run of feasible levels is known in advance (hi
+halves toward lo), so their verdicts come from a binary search over the
+bracket ends and the run's levels rather than one solve per level.
 
 The solver works on dense 64-bit arrays and extracts the stable invariant
 subspace of the 2n x 2n Hamiltonian by eigendecomposition.  That is entirely
@@ -276,28 +276,35 @@ def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.nda
     return 0.5 * (X + X.T)
 
 
-def _riccati_terms(problem: CareProblem) -> tuple[np.ndarray, np.ndarray]:
-    """G = BB' - gamma^-2 BwBw' and Q = C'C of the problem's equation."""
-    G = problem.B @ problem.B.T - (problem.B_w @ problem.B_w.T) / problem.gamma**2
-    return G, problem.C.T @ problem.C
+def _riccati_terms(problem: CareProblem) -> tuple:
+    """The gamma-free terms of the equation: BB', BwBw', Q = C'C, ||BB'||_F and ||Q||_F."""
+    BBt, Q = problem.B @ problem.B.T, problem.C.T @ problem.C
+    return (BBt, problem.B_w @ problem.B_w.T, Q,
+            float(np.linalg.norm(BBt, "fro")), float(np.linalg.norm(Q, "fro")))
 
 
-def _residual(A, G, Q, X) -> float:
-    """Frobenius norm of X A + A' X - X G X + Q."""
-    return float(np.linalg.norm(X @ A + A.T @ X - X @ G @ X + Q, "fro"))
+def _riccati_g(BBt, WWt, gamma: float) -> np.ndarray:
+    """G = BB' - gamma^-2 BwBw'; a gamma whose square overflows is the LQR limit, as inf."""
+    with np.errstate(over="ignore"):  # squares as a Python float does, but is inf past overflow
+        return BBt - WWt / np.float64(gamma) ** 2
 
 
-def _verified_root(
-    A, G, Q, bbt_norm: float, q_norm: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _residual(A, G, Q, X) -> np.ndarray:
+    """X A + A' X - X G X + Q, the equation's left side at X."""
+    return X @ A + A.T @ X - X @ G @ X + Q
+
+
+def _verified_root(A, terms: tuple, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The feasibility test of one level: solve_care's acceptance checks.
 
-    The stable-subspace root X of X A + A' X - X G X + Q = 0 must be PSD,
-    stabilize A - G X and meet the residual bound 1e-8 * max(1, q_norm,
-    ||X||_F^2 bbt_norm), with q_norm = ||Q||_F and bbt_norm = ||BB'||_F.
-    Returns X, the eigenvalues of A - G X and the residual; raises what
-    solve_care raises.
+    G comes from _riccati_g, the one function that forms it, so solve_care
+    and gamma_search decide a level on the same bits.  The stable-subspace
+    root X of X A + A' X - X G X + Q = 0 must be PSD, stabilize A - G X and
+    meet the residual bound 1e-8 * max(1, ||Q||_F, ||X||_F^2 ||BB'||_F).
+    Returns X, the eigenvalues of A - G X and the residual; raises what solve_care raises.
     """
+    BBt, WWt, Q, bbt_norm, q_norm = terms
+    G = _riccati_g(BBt, WWt, gamma)
     X = _stable_subspace_root(A, G, Q)
 
     x_norm = np.linalg.norm(X, "fro")
@@ -313,7 +320,7 @@ def _verified_root(
             "extracted root does not stabilize A - G X; no valid solution at this level"
         )
 
-    residual = _residual(A, G, Q, X)
+    residual = float(np.linalg.norm(_residual(A, G, Q, X), "fro"))
     scale = max(1.0, q_norm, float(x_norm**2 * bbt_norm))
     if residual > 1e-8 * scale:
         raise NoStabilizingSolution(
@@ -335,10 +342,7 @@ def solve_care(problem: CareProblem) -> HinfSolution:
     """
     A, B = problem.A, problem.B
     warnings = _pbh_warnings(A, B, problem.C)
-    G, Q = _riccati_terms(problem)
-    X, worst_eigs, residual = _verified_root(
-        A, G, Q, float(np.linalg.norm(B @ B.T, "fro")), float(np.linalg.norm(Q, "fro"))
-    )
+    X, worst_eigs, residual = _verified_root(A, _riccati_terms(problem), problem.gamma)
     K = B.T @ X
     return HinfSolution(
         gamma=problem.gamma,
@@ -366,7 +370,9 @@ def care_residual(problem: CareProblem, X) -> float:
     n = problem.A.shape[0]
     if X.shape != (n, n):
         raise ShapeError(f"X must be {n}x{n}, got {X.shape}")
-    return _residual(problem.A, *_riccati_terms(problem), X)
+    BBt, WWt, Q, _, _ = _riccati_terms(problem)
+    G = _riccati_g(BBt, WWt, problem.gamma)
+    return float(np.linalg.norm(_residual(problem.A, G, Q, X), "fro"))
 
 
 def _gain(A, B, C, D, w: float) -> float:
@@ -388,6 +394,11 @@ def _axis_crossing(A, B, C, D, gamma: float) -> np.ndarray:
     eigs = np.linalg.eigvals(H)
     on_axis = np.abs(eigs.real) <= 1e-8 * (1.0 + np.abs(eigs))
     return np.sort(eigs.imag[on_axis & (eigs.imag >= 0.0)])
+
+
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
@@ -412,8 +423,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
         UnstableSystem: A has an eigenvalue with non-negative real part.
         RuntimeError: the iteration did not converge within its pass cap.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_tol(tol)
     A, B, C, D = sys.A, sys.B_in, sys.C_out, sys.D_ff
     poles = np.linalg.eigvals(A)
     if float(poles.real.max()) >= 0.0:
@@ -450,8 +460,8 @@ def gamma_search(
     Feasibility means solve_care would return a verified solution; both
     failure modes (axis eigenvalues and indefinite roots) count as
     infeasible.  A level is decided by solve_care's acceptance checks on
-    the same floating-point operations, without its PBH probes, gain and
-    loop poles: the probes do not depend on gamma, and neither the gain
+    the G of the one function that forms it, without its PBH probes, gain
+    and loop poles: the probes do not depend on gamma, and neither the gain
     nor the poles decide feasibility.  Assumes feasibility is monotone in
     gamma.  If the lower bracket end is itself feasible the search returns
     it unchanged (e.g. B_w = 0, where every positive level is feasible).
@@ -475,25 +485,17 @@ def gamma_search(
         BracketInvalid: malformed bracket, or an infeasible upper end.
         ValueError: tol is not finite and positive.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi < math.inf):
         raise BracketInvalid(f"bracket must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
 
     problem = CareProblem(A=A, B=B, B_w=B_w, C=C, gamma=hi)
-    A = problem.A
-    BBt = problem.B @ problem.B.T
-    WWt = problem.B_w @ problem.B_w.T
-    Q = problem.C.T @ problem.C
-    bbt_norm = float(np.linalg.norm(BBt, "fro"))
-    q_norm = float(np.linalg.norm(Q, "fro"))
+    terms = _riccati_terms(problem)
 
     def feasible(gamma: float) -> bool:
-        # G as _riccati_terms forms it, so each level is decided on the
-        # bits solve_care would decide it on.
         try:
-            _verified_root(A, BBt - WWt / gamma**2, Q, bbt_norm, q_norm)
+            _verified_root(problem.A, terms, gamma)
         except (NoStabilizingSolution, IndefiniteSolution):
             return False
         return True

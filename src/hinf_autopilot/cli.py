@@ -172,6 +172,9 @@ def _parse_weight(spec) -> np.ndarray:
         raise ConfigError(f"invalid weighting matrix: {exc}") from exc
     if weight.ndim != 2 or weight.shape[1] != 3 or not np.all(np.isfinite(weight)):
         raise ConfigError("weighting matrix must have 3 columns of finite entries")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(weight.T @ weight)):
+            raise ConfigError("weighting matrix C has a non-finite Gram matrix C^T C")
     return weight
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .care_solver import CareProblem, HinfSolution, ShapeError, care_residual, solve_care
+from .care_solver import _residual, _riccati_g
 from .vehicle_model import (
     PITCH_COEFFS_T60,
     PITCH_COEFFS_T100,
@@ -171,18 +172,15 @@ def implied_state_weight(A, B, B_w, gamma: float, X_ref) -> tuple[np.ndarray, fl
     B = np.asarray(B, dtype=float)
     B_w = np.asarray(B_w, dtype=float)
     X_ref = np.asarray(X_ref, dtype=float)
-    G = B @ B.T - (B_w @ B_w.T) / float(gamma) ** 2
-    required = -(X_ref @ A + A.T @ X_ref - X_ref @ G @ X_ref)
+    G = _riccati_g(B @ B.T, B_w @ B_w.T, gamma)
+    required = -_residual(A, G, -0.0, X_ref)  # Q = -0.0 adds nothing, not even to a zero's sign
     required = 0.5 * (required + required.T)
     lam, vec = np.linalg.eigh(required)
     keep = lam > 1e-12 * max(1.0, float(lam.max(initial=0.0)))
     C = np.sqrt(lam[keep])[:, None] * vec.T[keep]
     if C.size == 0:
         C = np.zeros((1, A.shape[0]))
-    residual = float(
-        np.linalg.norm(X_ref @ A + A.T @ X_ref - X_ref @ G @ X_ref + C.T @ C, "fro")
-    )
-    return C, residual
+    return C, float(np.linalg.norm(_residual(A, G, C.T @ C, X_ref), "fro"))
 
 
 @dataclass(frozen=True)

@@ -456,6 +456,18 @@ class TestSolveLqr:
         with pytest.raises(BracketInvalid):
             gamma_search([[-1.0]], [[1.0]], [[1.0]], [[1.0]], bracket=(0.1, math.inf))
 
+    @pytest.mark.parametrize("design", [design_point_t60, design_point_t100])
+    def test_gamma_whose_square_overflows_is_the_lqr_limit(self, design):
+        # 1e160 squared overflows a double, so gamma^-2 is 0: the G of gamma = inf.
+        plant = assemble_pitch_plant(design().coeffs)
+        huge, inf = (
+            solve_care(CareProblem(A=plant.A, B=plant.B, B_w=plant.B_w,
+                                   C=MEASUREMENT_WEIGHT, gamma=gamma))
+            for gamma in (1e160, math.inf)
+        )
+        assert np.array_equal(huge.X, inf.X) and np.array_equal(huge.K, inf.K)
+        assert huge.gamma == 1e160
+
     def test_large_gamma_limit(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

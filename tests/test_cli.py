@@ -93,6 +93,18 @@ class TestSynthesize:
         assert main(["synthesize", "--design-time", "60", "--gamma", "20"]) == EXIT_OK
         assert (target / "synthesis.json").exists()
 
+    def test_gamma_whose_square_overflows_solves_as_the_lqr_limit(self, tmp_path, capsys):
+        # 1e160 squared overflows a double: gamma^-2 is 0, the gain of 1e150.
+        for gamma in ("1e150", "1e160"):
+            argv = ["synthesize", "--out", str(tmp_path / gamma), "--design-time", "100"]
+            assert main([*argv, "--gamma", gamma]) == EXIT_OK
+        k150, k160 = (json.loads((tmp_path / g / "synthesis.json").read_text())["K"]
+                      for g in ("1e150", "1e160"))
+        assert k160 == k150
+        config = {"design": {"t": 100, "gamma": 1e308}, "t_span": [60, 60.01]}
+        _, files = run_ok(tmp_path, capsys, "huge", "simulate", config)
+        assert "trace.csv" in files
+
     def test_partial_design_flags_rejected(self, tmp_path, capsys):
         assert main(["synthesize", "--out", str(tmp_path), "--gamma", "5"]) == EXIT_CONFIG
 
@@ -317,6 +329,8 @@ class TestMalformedConfig:
             {"type": "noise", "amplitude": 0.1, "seed": 1.9}]})),
         ("gamma-search", {"design": DESIGN, "gamma_bracket": []}),
         ("simulate", {"scenario": "paper-lti", "t_span": [60.0, 61.0], "dt": 3e-4}),
+        ("synthesize", {"design": {"t": 100, "gamma": 7.8, "weight": [[0, -1e308, 0]]}}),
+        ("gamma-search", {"design": {"t": 100, "gamma": 7.8, "weight": [[0, -1e308, 0]]}}),
     ])
     def test_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"

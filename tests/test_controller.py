@@ -9,9 +9,11 @@ from conftest import exact_product, quiet_scenario
 import hinf_autopilot.controller as controller_module
 from hinf_autopilot import simulator
 from hinf_autopilot.care_solver import (
+    CareProblem,
     HinfSolution,
     NoStabilizingSolution,
     ShapeError,
+    care_residual,
 )
 from hinf_autopilot.controller import (
     MEASUREMENT_WEIGHT,
@@ -169,6 +171,17 @@ class TestWeightCalibration:
             assert C.shape[1] == 3
             gram = C.T @ C
             assert np.linalg.eigvalsh(gram)[0] >= -1e-12
+
+    @pytest.mark.parametrize("design, x_ref", [
+        (design_point_t60, REFERENCE_X_T60), (design_point_t100, REFERENCE_X_T100),
+    ])
+    def test_implied_residual_is_care_residual(self, design, x_ref):
+        # Both form G and the equation's left side by the same functions.
+        design = design()
+        plant = assemble_pitch_plant(design.coeffs)
+        C, residual = implied_state_weight(plant.A, plant.B, plant.B_w, design.gamma, x_ref)
+        problem = CareProblem(A=plant.A, B=plant.B, B_w=plant.B_w, C=C, gamma=design.gamma)
+        assert residual == care_residual(problem, x_ref)
 
     def test_candidate_search_fails_the_tolerance(self):
         # No candidate family explains the published solutions: the implied
