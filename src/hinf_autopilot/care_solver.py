@@ -283,10 +283,15 @@ def _riccati_terms(problem: CareProblem) -> tuple:
             float(np.linalg.norm(BBt, "fro")), float(np.linalg.norm(Q, "fro")))
 
 
+def _square(x: float) -> np.float64:
+    """x ** 2 with the bits of a Python float's, but inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return np.float64(x) ** 2
+
+
 def _riccati_g(BBt, WWt, gamma: float) -> np.ndarray:
     """G = BB' - gamma^-2 BwBw'; a gamma whose square overflows is the LQR limit, as inf."""
-    with np.errstate(over="ignore"):  # squares as a Python float does, but is inf past overflow
-        return BBt - WWt / np.float64(gamma) ** 2
+    return BBt - WWt / _square(gamma)
 
 
 def _residual(A, G, Q, X) -> np.ndarray:
@@ -388,7 +393,8 @@ def _axis_crossing(A, B, C, D, gamma: float) -> np.ndarray:
     this level, which must exceed sigma_max(D).
     """
     p = C.shape[0]
-    Rinv = np.linalg.inv(gamma**2 * np.eye(D.shape[1]) - D.T @ D)
+    # gamma^2 on a diagonal, not times eye: an inf square times 0 would be nan.
+    Rinv = np.linalg.inv(np.diag(np.full(D.shape[1], _square(gamma))) - D.T @ D)
     M = A + B @ Rinv @ D.T @ C
     H = _hamiltonian(M, B @ Rinv @ B.T, -C.T @ (np.eye(p) + D @ Rinv @ D.T) @ C)
     eigs = np.linalg.eigvals(H)

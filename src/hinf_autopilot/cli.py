@@ -244,6 +244,10 @@ def _design_from_config(config: dict, command: str) -> controller.DesignPoint:
 
     schedule = _schedule_from_config(config)
     coeffs = vehicle_model.coefficients_at(schedule, t_design)
+    B = vehicle_model.assemble_pitch_plant(coeffs).B
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(B @ B.T)):
+            raise ConfigError(f"the plant at design time {t_design} has a non-finite B B^T")
     return controller.DesignPoint(
         t_design=t_design, gamma=gamma, coeffs=coeffs, C_perf=weight
     )

@@ -25,17 +25,13 @@ Python.  The run goes in chunks of _STEP_CHUNK (2048) steps: each chunk's
 precompute and disturbance samples are built, stepped through and recorded
 into the trace before the next, and compute_metrics integrates in blocks
 into one scratch column.  The peak memory is the trace (88 bytes a step),
-one scratch column (8 bytes a step) and one chunk: 1.10 times the trace's
-bytes at 1 M steps, measured with ru_maxrss.  One chunk is about 2-3 MB:
-under tracemalloc, a 20 k-step paper-ltv run peaks 2.2 MB above its
-1.76 MB trace while the plant changes (80-84 s) and 3.1 MB while one table
-is reused as Python rows (120-124 s).  A chunk whose plant inputs
-(the coefficient rows, q_c, dq_c/dt and the integral of q_c on its
-half-step grid) have the same bits as the previous chunk's steps through
-the previous chunk's table: the table is a pure function of those inputs,
-so the trace is the same.  Once the schedule is held past its last
-breakpoint and the command has ended, every full chunk reuses one table,
-converted to Python rows once.
+one scratch column (8 bytes a step) and one chunk of about 3 MB: under
+tracemalloc, a 20 k-step paper-ltv run peaks 3.0 MB above its 1.76 MB
+trace.  Each chunk's step table is converted once to Python rows.  A chunk
+whose plant inputs (the coefficient rows, q_c, dq_c/dt and the integral of
+q_c on its half-step grid) have the same bits as the previous chunk's steps
+through the previous chunk's rows: the table is a pure function of those
+inputs, so the trace is the same.
 
 Each disturbance primitive owns its formula, `values(t)`, which
 `sample_grid` sums per channel; `write_trace_csv` formats the trace in
@@ -100,6 +96,11 @@ DEFAULT_DT = 2e-4
 
 #: Hard cap on the step; Scenario refuses larger ones (the gyro's RK4 stability).
 MAX_DT = 1e-3
+
+#: Cap on a run's step count; Scenario refuses more, before anything is
+#: allocated.  The trace and the metrics' scratch column take 96 bytes a
+#: step, so 9.6 GB at the cap.
+MAX_STEPS = 10**8
 
 
 class SynthesisFailed(RuntimeError):
@@ -242,6 +243,10 @@ class Scenario:
     reference mode used by the linear-consistency checks.  A scenario is
     frozen, so its fields are checked once; dataclasses.replace makes a
     changed copy and checks it again.
+
+    The checks resolve the run into two attributes that are not fields:
+    `n_steps` (at most MAX_STEPS) and `plant_schedule`, which is `schedule`
+    for "ltv" and the design point's one-breakpoint schedule for "lti_frozen".
     """
 
     design: DesignPoint
@@ -263,16 +268,25 @@ class Scenario:
         if not 0.0 < dt <= MAX_DT:
             raise ValueError(f"dt must be in (0, {MAX_DT}], got {dt}")
         steps = (tf - t0) / dt
-        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"t_span ({t0}, {tf}) is {steps:.6g} steps of dt = {dt}; "
+                             f"a run takes at most {MAX_STEPS:.0e}")
+        if not abs(steps - round(steps)) <= 1e-9 * steps:
             raise ValueError(
                 f"t_span ({t0}, {tf}) is {steps:.6g} steps of dt = {dt}; "
                 "it must be a whole number of steps"
             )
         object.__setattr__(self, "t_span", (t0, tf))
         object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "n_steps", round(steps))
         if self.feedback_source not in ("true_state", "gyro_rate"):
             raise ValueError(f"unknown feedback_source {self.feedback_source!r}")
-        if self.plant_mode not in ("ltv", "lti_frozen"):
+        if self.plant_mode == "lti_frozen":  # the plant is the design point's
+            frozen = ((self.design.t_design, self.design.coeffs),)
+            object.__setattr__(self, "plant_schedule", CoefficientSchedule(frozen))
+        elif self.plant_mode == "ltv":
+            object.__setattr__(self, "plant_schedule", self.schedule)
+        else:
             raise ValueError(f"unknown plant_mode {self.plant_mode!r}")
         if not (self.servo_tau > 0.0 and self.servo_rate_limit > 0.0):
             raise ValueError("servo parameters must be positive")
@@ -348,9 +362,9 @@ def metrics_to_dict(metrics: Metrics) -> dict:
 # Integration
 
 #: Steps precomputed, integrated and recorded together; bounds the
-#: precompute alive at once to 2-3 MB, whatever the length of the run.  At
-#: 4096 steps the dispersion benchmark peaks about 4 MB higher for no less
-#: CPU; at 1024 about 2 MB lower, for about 5 % more CPU.
+#: precompute and its Python rows alive at once to about 3 MB, whatever the
+#: length of the run.  At 4096 steps the dispersion benchmark peaks about
+#: 4 MB higher for no less CPU; at 1024 about 2 MB lower, for about 5 % more CPU.
 _STEP_CHUNK = 2048
 
 
@@ -369,12 +383,7 @@ def _stage_grids(scenario: Scenario, first: int, last: int):
     qc = np.asarray(profile.rate(th), dtype=float)
     dqc = np.asarray(profile.rate_derivative(th), dtype=float)
     iqc = np.asarray(profile.rate_integral(th), dtype=float)
-
-    schedule = scenario.schedule
-    if scenario.plant_mode == "lti_frozen":
-        design = scenario.design
-        schedule = CoefficientSchedule(((design.t_design, design.coeffs),))
-    return schedule.at(th), qc, dqc, iqc
+    return scenario.plant_schedule.at(th), qc, dqc, iqc
 
 
 def _step_updates(dt: float, grid) -> np.ndarray:
@@ -473,10 +482,9 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     except (NoStabilizingSolution, IndefiniteSolution, ClosedLoopUnstable) as exc:
         raise SynthesisFailed(f"design-point synthesis failed: {exc}") from exc
 
-    t0, tf = scenario.t_span
+    t0, _ = scenario.t_span
     dt = scenario.dt
-    n_steps = round((tf - t0) / dt)
-
+    n_steps = scenario.n_steps
     n_out = n_steps + 1
     # In place, with the bits of t0 + dt * np.arange(n_out).
     t_grid = np.arange(n_out, dtype=float)
@@ -503,29 +511,19 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
 
     x0 = x1 = x2 = 0.0
     delta = 0.0
+    g1 = scenario.profile.rate(t0)  # gyro pre-settled on the initial true rate
     g2 = 0.0
     diverged_at = None
-    grid = table = table_rows = steps = None
+    grid = steps = None
     for first in range(0, n_steps, _STEP_CHUNK):
         last = min(first + _STEP_CHUNK, n_steps)
         chunk_grid = _stage_grids(scenario, first, last)
-        if grid is not None and _same_bits(chunk_grid, grid):
-            if table_rows is None:
-                table_rows, table = table.tolist(), None
-            steps = table_rows
-        else:
-            # Drop the old table and rows first: while alive, the rows'
-            # _STEP_CHUNK lists are traversed by every garbage collection
-            # the new rows trigger, and they sit beside the new table.
-            table = table_rows = steps = None
-            grid = chunk_grid
-            table = _step_updates(dt, grid)
-            steps = map(np.ndarray.tolist, table)
-        chunk_grid = None  # equal to `grid` when reused: one copy is kept
+        if grid is None or not _same_bits(chunk_grid, grid):
+            grid = steps = None  # the old grid and rows go before the new rows are built
+            steps = _step_updates(dt, chunk_grid).tolist()
+        grid, chunk_grid = chunk_grid, None
         _, qc, _, iqc = grid
         qc_nodes = qc[::2].tolist()
-        if first == 0:
-            g1 = qc_nodes[0]  # gyro pre-settled on the initial true rate
         # Each primitive is elementwise in t (noise draws by index), so
         # sampling per chunk gives the whole-run bits; the last chunk has tf.
         end = last + 1 if last == n_steps else last
@@ -603,7 +601,7 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
             break
 
     # Not kept through compute_metrics, whose scratch column sets the peak memory.
-    grid = table = table_rows = steps = qc = iqc = None
+    grid = steps = qc = iqc = None
     sl = slice(0, first + n_rows)
     trace = SimulationTrace(
         t=t_grid[sl], x=x[sl], theta=theta[sl], q=q[sl], delta=delta_out[sl], u=u_out[sl],

@@ -249,8 +249,7 @@ def production_step_map(scenario: Scenario):
 
     One step of the simulation loop is x+ = M x + N_u delta + P w + q_f.
     """
-    n_steps = max(1, int(round((scenario.t_span[1] - scenario.t_span[0]) / scenario.dt)))
-    s = _step_updates(scenario.dt, _stage_grids(scenario, 0, n_steps))
+    s = _step_updates(scenario.dt, _stage_grids(scenario, 0, scenario.n_steps))
     return s[:, :9].reshape(-1, 3, 3), s[:, 9:12], s[:, 12:18].reshape(-1, 3, 2), s[:, 18:]
 
 

@@ -201,6 +201,16 @@ class TestHinfNorm:
         with pytest.raises(UnstableSystem):
             hinf_norm(sys)
 
+    @pytest.mark.parametrize("B, D, norm", [
+        ([[1.0], [1.0]], [[0.0]], 5e307),
+        ([[1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]], 5e307 * math.sqrt(2.0)),
+    ])
+    def test_level_whose_square_overflows(self, B, D, norm):
+        # The DC gain is near 1e308: the tested level's square is inf, so
+        # (gamma^2 I - D'D)^-1 is 0, with no nan off its diagonal.
+        sys = StateSpace(A=[[-1.0, 1e308], [0.0, -2.0]], B_in=B, C_out=[[1.0, 1.0]], D_ff=D)
+        assert hinf_norm(sys) == pytest.approx(norm, rel=1e-12)
+
     def test_zero_transfer_function(self):
         sys = StateSpace(A=[[-1.0]], B_in=[[0.0]], C_out=[[0.0]], D_ff=[[0.0]])
         assert hinf_norm(sys, tol=1e-6) <= 1e-12

@@ -54,6 +54,19 @@ class TestNorm:
         assert main(["norm"]) == EXIT_CONFIG
         assert "error=config-error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("system, printed", [
+        # The DC gain 1e300 becomes the tested level, whose square overflows.
+        ({"A": [[-1e-300]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+         "hinf_norm = 9.999999999999998e+299"),
+        ({"A": [[-1.0, 1e308], [0.0, -2.0]], "B": [[1.0], [1.0]], "C": [[1.0, 1.0]],
+          "D": [[0.0]]}, "hinf_norm = 5e+307"),
+    ])
+    def test_level_whose_square_overflows(self, tmp_path, capsys, system, printed):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"system": system}))
+        assert main(["norm", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == printed
+
 
 class TestSynthesize:
     def test_writes_json(self, tmp_path, capsys):
@@ -298,6 +311,13 @@ class TestSimulate:
 
 DESIGN = {"t": 60, "gamma": 20}
 
+#: A schedule whose 60 s plant has a B whose B B^T overflows (Mdelta = -1e200).
+OVERFLOW_SCHEDULE_CSV = (
+    "t,Zv,Zq,Ztheta,Zdelta,Mv,Mq,Mdelta\n"
+    "60,-0.054252,608.84,-6.4939,-3.4855,-0.003439,-0.18404,-1e200\n"
+    "100,-0.0020551,1827.8,-6.4939,-6.2007,0.0002725,-0.014108,-2.1086\n"
+)
+
 
 class TestMalformedConfig:
     """Wrong types and values in a config file exit 2, not with a traceback."""
@@ -331,8 +351,12 @@ class TestMalformedConfig:
         ("simulate", {"scenario": "paper-lti", "t_span": [60.0, 61.0], "dt": 3e-4}),
         ("synthesize", {"design": {"t": 100, "gamma": 7.8, "weight": [[0, -1e308, 0]]}}),
         ("gamma-search", {"design": {"t": 100, "gamma": 7.8, "weight": [[0, -1e308, 0]]}}),
+        ("synthesize", {"design": DESIGN, "schedule_csv": "overflow.csv"}),
+        ("simulate", dict(SHORT_LTI, design=DESIGN, schedule_csv="overflow.csv")),
     ])
-    def test_exits_2(self, tmp_path, capsys, command, config):
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, command, config):
+        monkeypatch.chdir(tmp_path)  # where the relative "overflow.csv" is read
+        (tmp_path / "overflow.csv").write_text(OVERFLOW_SCHEDULE_CSV)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -342,6 +366,20 @@ class TestMalformedConfig:
         assert main(argv) == EXIT_CONFIG
         assert "error=config-error" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "paper-lti", "t_span": [60, 9223372036854775808]},
+        {"scenario": "paper-lti", "t_span": [60, 60.05], "dt": 1e-12},
+    ])
+    def test_step_count_above_the_cap_exits_2(self, tmp_path, capsys, config):
+        # 4.6e22 and 5e10 steps: refused by the Scenario before any allocation.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error=config-error:")
+        assert f"at most {simulator.MAX_STEPS:.0e}" in err[0]
 
     @pytest.mark.parametrize("command, config, key", [
         ("synthesize", {"gama": 3, "design": dict(DESIGN, wieght="identity")}, "'gama'"),

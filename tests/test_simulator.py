@@ -905,6 +905,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="t_span"):
             quiet_scenario(t_span=(60.0, 1e308))
 
+    def test_step_count_cap(self):
+        # 9.6 GB of trace and scratch at the cap; one step more is refused.
+        at_cap = quiet_scenario(t_span=(0.0, simulator.MAX_STEPS * 1e-3))
+        assert at_cap.n_steps == simulator.MAX_STEPS
+        with pytest.raises(ValueError, match="at most"):
+            quiet_scenario(t_span=(0.0, (simulator.MAX_STEPS + 1) * 1e-3))
+
+    def test_resolves_the_run_once(self):
+        # n_steps and plant_schedule are not fields: equality, replace and
+        # the ten fields are as before, and a changed copy resolves again.
+        ltv = quiet_scenario(plant_mode="ltv", t_span=(60.0, 61.0))
+        assert (ltv.n_steps, ltv.plant_schedule) == (1000, ltv.schedule)
+        frozen = dataclasses.replace(ltv, plant_mode="lti_frozen", dt=5e-4)
+        assert frozen.n_steps == 2000
+        assert frozen.plant_schedule.breakpoints == (
+            (frozen.design.t_design, frozen.design.coeffs),)
+        assert len(dataclasses.fields(frozen)) == 10
+        assert not {"n_steps", "plant_schedule"} & {f.name for f in dataclasses.fields(frozen)}
+
     def test_fields_cannot_skip_the_checks(self):
         # Assigning dt after construction would run 3333 steps ending at
         # 60.9999; a copy with the new dt is checked like a new scenario.
