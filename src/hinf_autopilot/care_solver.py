@@ -164,6 +164,12 @@ class CareProblem:
         self.gamma = float(self.gamma)
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        with np.errstate(over="ignore"):
+            grams = (("B B'", self.B @ self.B.T), ("B_w B_w'", self.B_w @ self.B_w.T),
+                     ("C'C", self.C.T @ self.C))
+        for name, gram in grams:
+            if not np.all(np.isfinite(gram)):
+                raise ValueError(f"{name} has non-finite entries; the equation cannot be formed")
 
 
 @dataclass

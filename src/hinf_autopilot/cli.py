@@ -53,24 +53,25 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: str, write) -> None:
+def _atomic_write(path: str, write):
     """Create `path` through `write(tmp_path)`, a temp file and a rename.
 
-    The file gets the mode a plain `open` would give it (0o666 less the
-    umask).  If `write` raises, the temp file is removed and `path` is
-    left as it was.
+    Returns what `write` returns.  The file gets the mode a plain `open`
+    would give it (0o666 less the umask).  If `write` raises, the temp file
+    is removed and `path` is left as it was.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     os.close(fd)
     try:
-        write(tmp)
+        result = write(tmp)
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return result
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -382,10 +383,13 @@ def _cmd_synthesize(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = _scenario_from_config(_load_config(args), args.seed)
     out = _out_dir(args)
-    trace, metrics = simulator.simulate(scenario)
+
+    def write_trace(tmp: str) -> simulator.Metrics:
+        with open(tmp, "wb") as handle:
+            return simulator.simulate_to_csv(scenario, handle)
 
     trace_path = os.path.join(out, "trace.csv")
-    _atomic_write(trace_path, lambda tmp: simulator.write_trace_csv(trace, tmp))
+    metrics = _atomic_write(trace_path, write_trace)
     metrics_path = os.path.join(out, "metrics.json")
     _atomic_write_json(metrics_path, simulator.metrics_to_dict(metrics))
     print(f"wrote {trace_path}")
@@ -496,15 +500,14 @@ def _cmd_reproduce_paper(args) -> int:
     emit()
     emit("Scenario comparison (default command and placeholder disturbances)")
     emit("-" * 68)
-    rows = []
-    for name in ("paper-ltv", "paper-lti"):
-        overrides = {} if args.dt is None else {"dt": args.dt}
-        try:
-            scenario = simulator.BUILTIN_SCENARIOS[name](**overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        _, metrics = simulator.simulate(scenario)
-        rows.append((name, metrics))
+    names = ("paper-ltv", "paper-lti")
+    overrides = {} if args.dt is None else {"dt": args.dt}
+    try:
+        scenarios = [simulator.BUILTIN_SCENARIOS[name](**overrides) for name in names]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # One scenario a worker; only the small Metrics come back.
+    rows = list(zip(names, simulator._fan_out(lambda s: simulator.simulate(s)[1], scenarios)))
     emit(f"{'metric':<28}" + "".join(f"{name:>18}" for name, _ in rows))
     tables = [simulator.metrics_to_dict(m) for _, m in rows]
     for key in tables[0]:

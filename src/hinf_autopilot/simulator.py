@@ -14,33 +14,42 @@ start t_k and held (zero-order hold) across the step:
     6. the gyro advances one RK4 step driven by the true rate at t_k.
 
 The trace records every sample; a non-finite state aborts the run with the
-failure time and the partial trace attached to the error.
+failure time (and, from `simulate`, the partial trace) attached to the error.
 
 The plant is vehicle_model's: the precompute interpolates the coefficient
 schedule at the step nodes and midpoints, evaluates `pitch_terms` there (a
 frozen plant is a one-breakpoint schedule), and folds the four RK4 stages
 into one affine map per step (an algebraically identical regrouping,
 batched with numpy) so that full-length runs at dt = 2e-4 stay fast in pure
-Python.  The run goes in chunks of _STEP_CHUNK (2048) steps: each chunk's
-precompute and disturbance samples are built, stepped through and recorded
-into the trace before the next, and compute_metrics integrates in blocks
-into one scratch column.  The peak memory is the trace (88 bytes a step),
-one scratch column (8 bytes a step) and one chunk of about 3 MB: under
-tracemalloc, a 20 k-step paper-ltv run peaks 3.0 MB above its 1.76 MB
-trace.  Each chunk's step table is converted once to Python rows.  A chunk
-whose plant inputs (the coefficient rows, q_c, dq_c/dt and the integral of
-q_c on its half-step grid) have the same bits as the previous chunk's steps
-through the previous chunk's rows: the table is a pure function of those
-inputs, so the trace is the same.
+Python.  The run goes in chunks of _STEP_CHUNK (2048) steps through one
+chunk loop, `_chunk_loop`: each chunk's precompute and disturbance samples
+are built, stepped through and written into the columns its caller gives
+before the next.  Each chunk's step table is converted once to Python rows.
+A chunk whose plant inputs (the coefficient rows, q_c, dq_c/dt and the
+integral of q_c on its half-step grid) have the same bits as the previous
+chunk's steps through the previous chunk's rows: the table is a pure
+function of those inputs, so the trace is the same.
+
+`simulate` gives the loop views of the whole trace, and compute_metrics
+then integrates in blocks into one scratch column.  Its peak memory is the
+trace (88 bytes a step), one scratch column (8 bytes a step) and one chunk
+of about 3 MB: under tracemalloc, a 20 k-step paper-ltv run peaks 3.0 MB
+above its 1.76 MB trace.  `simulate_to_csv`, the CLI's path, gives it the
+slots of a ring in shared memory instead, which `_fan_out`'s forked workers
+format into CSV text while the next slot fills; it holds the metrics' three
+columns of trapezoid terms (24 bytes a step) and about 7 MB of rings with
+two workers, never the trace.
 
 Each disturbance primitive owns its formula, `values(t)`, which
-`sample_grid` sums per channel; `write_trace_csv` formats the trace in
+`sample_grid` sums per channel; `write_trace_csv` formats a trace in
 blocks through `_fan_out`, in process or in forked workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import mmap
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -81,6 +90,7 @@ __all__ = [
     "SynthesisFailed",
     "NonFiniteState",
     "simulate",
+    "simulate_to_csv",
     "compute_metrics",
     "default_disturbance",
     "scenario_paper_ltv",
@@ -112,13 +122,18 @@ class NonFiniteState(RuntimeError):
 
     Attributes:
         time: first time at which a non-finite value appeared.
-        trace: partial trace up to the last finite sample.
+        trace: partial trace up to the last finite sample; None from
+            `simulate_to_csv`, which holds no whole trace.
     """
 
-    def __init__(self, time: float, trace: "SimulationTrace"):
+    def __init__(self, time: float, trace: "SimulationTrace | None"):
         super().__init__(f"state became non-finite at t={time:.6g} s")
         self.time = time
         self.trace = trace
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so it crosses a process boundary.
+        return NonFiniteState, (self.time, self.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +485,12 @@ def _same_bits(a: tuple, b: tuple) -> bool:
     )
 
 
-def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
-    """Run the closed loop over the scenario's span.
+def _chunk_loop(scenario: Scenario, views):
+    """Synthesize the gain and step the loop, writing each chunk's rows into `views(first, end)`.
 
-    Deterministic for a given scenario, including seeded noise.  Raises
-    SynthesisFailed if the design point cannot be synthesized, and
-    NonFiniteState (with the partial trace attached) if the state diverges.
+    `views(first, end)` gives the 11 writable float64 columns of rows
+    first..end-1 in the CSV's order.  Yields (rows written, divergence time
+    or None) once per chunk; a chunk whose state became non-finite is the last.
     """
     try:
         _, gain = synthesize(scenario.design)
@@ -485,18 +500,6 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     t0, _ = scenario.t_span
     dt = scenario.dt
     n_steps = scenario.n_steps
-    n_out = n_steps + 1
-    # In place, with the bits of t0 + dt * np.arange(n_out).
-    t_grid = np.arange(n_out, dtype=float)
-    t_grid *= dt
-    t_grid += t0
-    w_grid = np.empty((n_out, 2))
-    x = np.empty((n_out, 3))
-    theta = np.empty(n_out)
-    q = np.empty(n_out)
-    delta_out = np.empty(n_out)
-    u_out = np.empty(n_out)
-    q_meas = np.empty(n_out)
 
     k0, k1g, k2g = (float(v) for v in gain.K[0])
     use_gyro = scenario.feedback_source == "gyro_rate"
@@ -517,6 +520,12 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     grid = steps = None
     for first in range(0, n_steps, _STEP_CHUNK):
         last = min(first + _STEP_CHUNK, n_steps)
+        end = last + 1 if last == n_steps else last  # the last chunk has tf
+        t, x0_out, x1_out, x2_out, theta, q, delta_out, u_out, w1_out, w2_out, q_meas = views(
+            first, end)
+        # With the bits of t0 + dt * np.arange(n_steps + 1), made in place.
+        np.multiply(np.arange(first, end, dtype=float), dt, out=t)
+        t += t0
         chunk_grid = _stage_grids(scenario, first, last)
         if grid is None or not _same_bits(chunk_grid, grid):
             grid = steps = None  # the old grid and rows go before the new rows are built
@@ -525,11 +534,11 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
         _, qc, _, iqc = grid
         qc_nodes = qc[::2].tolist()
         # Each primitive is elementwise in t (noise draws by index), so
-        # sampling per chunk gives the whole-run bits; the last chunk has tf.
-        end = last + 1 if last == n_steps else last
-        w_grid[first:end] = scenario.disturbances.sample_grid(t_grid[first:end])
-        w1_nodes = w_grid[first:last, 0].tolist()
-        w2_nodes = w_grid[first:last, 1].tolist()
+        # sampling per chunk gives the whole-run bits.
+        w = scenario.disturbances.sample_grid(t)
+        w1_out[:], w2_out[:] = w[:, 0], w[:, 1]
+        w1_nodes = w[: last - first, 0].tolist()
+        w2_nodes = w[: last - first, 1].tolist()
         rec = ([], [], [], [], [], [])
         rec_x0, rec_x1, rec_x2, rec_delta, rec_u, rec_qmeas = (r.append for r in rec)
 
@@ -593,19 +602,34 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
             for r, value in zip(rec, (x0, x1, x2, delta, -(k0 * x0 + k1g * e_ch + k2g * x2), g1)):
                 r.append(value)
         n_rows = len(rec[0])
-        rows = slice(first, first + n_rows)
-        x[rows, 0], x[rows, 1], x[rows, 2], delta_out[rows], u_out[rows], q_meas[rows] = rec
-        theta[rows] = iqc[: 2 * n_rows : 2] - x[rows, 0]
-        q[rows] = qc[: 2 * n_rows : 2] - x[rows, 1]
+        for out, values in zip((x0_out, x1_out, x2_out, delta_out, u_out, q_meas), rec):
+            out[:n_rows] = values
+        theta[:n_rows] = iqc[: 2 * n_rows : 2] - x0_out[:n_rows]
+        q[:n_rows] = qc[: 2 * n_rows : 2] - x1_out[:n_rows]
+        yield n_rows, diverged_at
         if diverged_at is not None:
-            break
+            return
 
-    # Not kept through compute_metrics, whose scratch column sets the peak memory.
-    grid = steps = qc = iqc = None
-    sl = slice(0, first + n_rows)
+
+def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
+    """Run the closed loop over the scenario's span.
+
+    Deterministic for a given scenario, including seeded noise.  Raises
+    SynthesisFailed if the design point cannot be synthesized, and
+    NonFiniteState (with the partial trace attached) if the state diverges.
+    """
+    n_out = scenario.n_steps + 1
+    x, w = np.empty((n_out, 3)), np.empty((n_out, 2))
+    t, theta, q, delta, u, q_meas = (np.empty(n_out) for _ in range(6))
+    cols = (t, x[:, 0], x[:, 1], x[:, 2], theta, q, delta, u, w[:, 0], w[:, 1], q_meas)
+    rows = 0
+    # The loop and its last chunk are gone before compute_metrics' scratch column is made.
+    for n_rows, diverged_at in _chunk_loop(scenario, lambda a, b: [col[a:b] for col in cols]):
+        rows += n_rows
+    sl = slice(0, rows)
     trace = SimulationTrace(
-        t=t_grid[sl], x=x[sl], theta=theta[sl], q=q[sl], delta=delta_out[sl], u=u_out[sl],
-        w=w_grid[sl], q_meas=q_meas[sl],
+        t=t[sl], x=x[sl], theta=theta[sl], q=q[sl], delta=delta[sl], u=u[sl], w=w[sl],
+        q_meas=q_meas[sl],
     )
     if diverged_at is not None:
         raise NonFiniteState(diverged_at, trace)
@@ -631,7 +655,6 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
     n = len(t)
     if n == 0:
         raise ValueError("compute_metrics needs at least one sample; the trace is empty")
-    span = float(t[-1] - t[0])
     int_e, e, delta = trace.x[:, 0], trace.x[:, 1], trace.delta
     # Row blocks that share their last row with the next block, so each
     # step (a difference of two rows) lies in exactly one block.
@@ -639,39 +662,50 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
     scratch = np.empty(n - 1)
 
     def energy(*columns) -> float:
-        # np.trapezoid(y, t) of y, the sum of the columns' squares (x ** 2
-        # is numpy's x * x), is (diff(t) * (y[1:] + y[:-1]) / 2.0).sum():
-        # the same terms, built per block into one column, then one sum.
         for rows in blocks:
-            terms = scratch[rows.start:rows.stop - 1]
-            y = columns[0][rows] ** 2
-            for column in columns[1:]:
-                y += column[rows] ** 2
-            np.add(y[1:], y[:-1], out=terms)
-            y = None  # freed before diff(t) is made: two blocks at most
-            terms *= np.diff(t[rows])
-            terms /= 2.0
+            _energy_terms(t[rows], [column[rows] for column in columns],
+                          scratch[rows.start:rows.stop - 1])
         return float(scratch.sum())
 
-    e_energy, theta_energy = energy(e), energy(int_e)
-    w_energy = energy(trace.w[:, 0], trace.w[:, 1])
+    energies = energy(e), energy(int_e), energy(trace.w[:, 0], trace.w[:, 1])
+    max_step = rate_limit * (float(t[1] - t[0]) if n > 1 else 1.0)
+    extremes = [_extremes(e[rows], delta[rows], max_step) for rows in blocks]
+    return _metrics(float(t[-1] - t[0]), n - 1, energies, extremes)
 
-    dt = float(t[1] - t[0]) if n > 1 else 1.0
-    bound = rate_limit * dt * (1.0 - 1e-9)
-    saturated, peaks = 0, []
-    for rows in blocks:
-        d_delta = np.diff(delta[rows])
-        saturated += int(np.count_nonzero(np.abs(d_delta, out=d_delta) >= bound))
-        peaks.append((np.abs(e[rows]).max(), np.abs(delta[rows]).max()))
-    max_abs_e, max_abs_delta = np.max(peaks, axis=0)
 
+def _energy_terms(t: np.ndarray, columns, out: np.ndarray) -> None:
+    """The trapezoid terms over t of y, the sum of the columns' squares, into `out`.
+
+    np.trapezoid(y, t) is (diff(t) * (y[1:] + y[:-1]) / 2.0).sum(), and
+    x ** 2 is numpy's x * x: one sum of a run's terms has its bits.
+    """
+    y = columns[0] ** 2
+    for column in columns[1:]:
+        y += column ** 2
+    np.add(y[1:], y[:-1], out=out)
+    y = None  # freed before diff(t) is made
+    out *= np.diff(t)
+    out /= 2.0
+
+
+def _extremes(e: np.ndarray, delta: np.ndarray, max_step: float) -> tuple:
+    """(steps whose deflection change reaches max_step, max |e|, max |delta|) over some rows."""
+    d_delta = np.diff(delta)
+    saturated = np.count_nonzero(np.abs(d_delta, out=d_delta) >= max_step * (1.0 - 1e-9))
+    return int(saturated), np.abs(e).max(), np.abs(delta).max()
+
+
+def _metrics(span: float, steps: int, energies, extremes) -> Metrics:
+    """The Metrics of a run from its energies of e, int_e and w and its blocks' `_extremes`."""
+    e_energy, theta_energy, w_energy = energies
+    saturated, max_abs_e, max_abs_delta = zip(*extremes)
     return Metrics(
         rms_e=math.sqrt(e_energy / span) if span > 0 else 0.0,
-        max_abs_e=float(max_abs_e),
+        max_abs_e=float(np.max(max_abs_e)),
         rms_theta_err=math.sqrt(theta_energy / span) if span > 0 else 0.0,
-        max_abs_delta=float(max_abs_delta),
-        # The count over n - 1 steps is the float mean of the step flags.
-        servo_saturation_fraction=saturated / (n - 1) if n > 1 else 0.0,
+        max_abs_delta=float(np.max(max_abs_delta)),
+        # The count over the steps is the float mean of the step flags.
+        servo_saturation_fraction=sum(saturated) / steps if steps else 0.0,
         energy_ratio=e_energy / w_energy if w_energy > 0.0 else 0.0,
     )
 
@@ -683,6 +717,10 @@ _BLOCK_ROWS = 2048
 
 #: Results each `_fan_out` worker may have in flight; bounds the text the writer holds.
 _BLOCKS_PER_WORKER = 2
+
+#: Chunks per slot of `simulate_to_csv`'s rings, so per `_fan_out` item: two
+#: halve the items' fork-pool overhead in the parent for about 3 MB more than one.
+_SLOT_CHUNKS = 2
 
 #: The callable of `_fan_out`'s forked workers.  It is set before the
 #: workers fork, so they inherit it and only items and results are pickled.
@@ -714,16 +752,19 @@ def _call_fan_out_fn(item):
     return _fan_out_fn(item)
 
 
-def _fan_out(fn, items):
-    """Yield fn(item) for each of the sequence `items`, in order.
+def _fan_out(fn, items, workers: int = 0):
+    """Yield fn(item) for each item of the iterable `items`, in order.
 
     In process for fewer than two items or on one CPU; otherwise in
-    `_worker_count()` forked workers, with at most
-    `workers * _BLOCKS_PER_WORKER` results submitted but not yet yielded.
-    A worker's exception is raised here.
+    `workers` (default `_worker_count()`) forked workers.  Items are taken
+    lazily: when one is taken, at most `workers * _BLOCKS_PER_WORKER`
+    earlier items are not yet yielded.  A worker's exception is raised here.
     """
     global _fan_out_fn
-    workers = _worker_count() if len(items) >= 2 else 1
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    items = itertools.chain(head, items)
+    workers = (workers or _worker_count()) if len(head) == 2 else 1
     if workers == 1:
         yield from map(fn, items)
         return
@@ -775,3 +816,64 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
             lambda start: _format_block(cols, start, start + _BLOCK_ROWS),
             range(0, len(cols[0]), _BLOCK_ROWS),
         ))
+
+
+def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
+    """Run the scenario as `simulate` does, writing its trace CSV to the binary `handle`.
+
+    The bytes and metrics are `simulate`'s, but the trace is never held:
+    the chunks' rows go into the slots of a ring in shared memory, which
+    `_fan_out`'s workers format into a text ring while the next slot fills,
+    and the metrics keep their trapezoid terms (24 bytes a step).  Raises
+    as `simulate` does, but the trace of a NonFiniteState is None.
+    """
+    workers = _worker_count()
+    n_slots = workers * _BLOCKS_PER_WORKER + 1  # one more than _fan_out keeps in flight
+    rows = _SLOT_CHUNKS * _STEP_CHUNK  # a slot's rows; the last slot also has tf
+    # Row 0 of a slot is the previous slot's last row, for the metrics' first step.
+    ring = np.frombuffer(mmap.mmap(-1, n_slots * 11 * (rows + 2) * 8)).reshape(n_slots, 11, -1)
+    # A value's repr has at most 24 characters ("-1.2345678901234567e-308"), then a separator.
+    text_size = 11 * 25 * (rows + 1)
+    texts = mmap.mmap(-1, n_slots * text_size)
+    terms = np.empty((3, scenario.n_steps))
+    extremes, metrics = [], []
+
+    def views(first: int, end: int):
+        k, offset = divmod(first, rows)
+        if offset == 0:
+            ring[k % n_slots, :, 0] = ring[(k - 1) % n_slots, :, rows]
+        return ring[k % n_slots, :, offset + 1:offset + 1 + end - first]
+
+    def slots():
+        end = 0
+        for n_rows, diverged_at in _chunk_loop(scenario, views):
+            if diverged_at is not None:
+                raise NonFiniteState(diverged_at, None)
+            first, end = end, end + n_rows
+            slot, offset = first // rows % n_slots, first % rows
+            t, int_e, e, _, _, _, delta, _, w1, w2, _ = ring[slot, :, offset + (first == 0):
+                                                             offset + n_rows + 1]
+            if first == 0:
+                t_first, max_step = t[0], scenario.servo_rate_limit * float(t[1] - t[0])
+            with np.errstate(over="ignore"):  # the rows of a run that diverges later
+                for out, columns in zip(terms[:, max(first - 1, 0):end - 1],
+                                        ((e,), (int_e,), (w1, w2))):
+                    _energy_terms(t, columns, out)
+            extremes.append(_extremes(e, delta, max_step))
+            if end % rows == 0 or end > scenario.n_steps:
+                yield slot, end - (first - offset)
+        energies = [float(column.sum()) for column in terms]
+        metrics.append(_metrics(float(t[-1] - t_first), scenario.n_steps, energies, extremes))
+
+    def format_slot(item) -> int:
+        # The text stays in the slot's share of `texts`: only its length is sent back.
+        slot, n_rows = item
+        block = _format_block(ring[slot, :, 1:], 0, n_rows)
+        texts[slot * text_size:slot * text_size + len(block)] = block
+        return len(block)
+
+    handle.write((_TRACE_HEADER + "\n").encode("ascii"))
+    for k, size in enumerate(_fan_out(format_slot, slots(), workers)):
+        start = k % n_slots * text_size
+        handle.write(texts[start:start + size])
+    return metrics[0]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +41,12 @@ from hinf_autopilot.controller import (
     design_point_t100,
     implied_state_weight,
 )
-from hinf_autopilot.vehicle_model import assemble_pitch_plant, coefficients_at, default_schedule
+from hinf_autopilot.vehicle_model import (
+    PITCH_COEFFS_T60,
+    assemble_pitch_plant,
+    coefficients_at,
+    default_schedule,
+)
 
 
 def scalar_problem(a, b, bw, c, gamma):
@@ -135,6 +142,23 @@ class TestSolveCare:
         with pytest.raises(ShapeError):
             CareProblem(A=np.eye(2), B=np.ones((3, 1)), B_w=np.ones((2, 1)),
                         C=np.ones((1, 2)), gamma=1.0)
+
+    @pytest.mark.parametrize("name, entry", [("B B'", "B"), ("B_w B_w'", "B_w"), ("C'C", "C")])
+    def test_gram_matrix_that_overflows_is_refused(self, name, entry):
+        # Finite entries whose products overflow: the equation's terms would be inf.
+        data = {"A": [[-1.0]], "B": [[1.0]], "B_w": [[1.0]], "C": [[1.0]], "gamma": 2.0,
+                entry: [[1e200]]}
+        with pytest.raises(ValueError, match=re.escape(f"{name} has non-finite entries")):
+            CareProblem(**data)
+
+    def test_pitch_plant_whose_b_bt_overflows_is_refused(self):
+        # Was a LinAlgError ("Array must not contain infs or NaNs") from the eigensolver.
+        plant = assemble_pitch_plant(dataclasses.replace(PITCH_COEFFS_T60, M_delta=-1e200))
+        with pytest.raises(ValueError, match="B B' has non-finite entries"):
+            solve_care(CareProblem(A=plant.A, B=plant.B, B_w=plant.B_w, C=MEASUREMENT_WEIGHT,
+                                   gamma=20.0))
+        with pytest.raises(ValueError, match="B B' has non-finite entries"):
+            gamma_search(plant.A, plant.B, plant.B_w, MEASUREMENT_WEIGHT, (1e-3, 1e6))
 
 
 class TestCareResidual:

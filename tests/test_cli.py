@@ -409,10 +409,10 @@ class TestMalformedConfig:
         assert main(["reproduce-paper", "--dt", "0.5"]) == EXIT_CONFIG
 
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
-        def broken(scenario):
+        def broken(scenario, handle):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(simulator, "simulate", broken)
+        monkeypatch.setattr(simulator, "simulate_to_csv", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["simulate", "--config", short_simulate_config(tmp_path),
                   "--out", str(tmp_path / "out")])
@@ -659,6 +659,39 @@ class TestReproducePaper:
         assert "0.0024" in out
         assert "paper-ltv" in out and "paper-lti" in out
         assert "Qualitative comparison" in out
+
+    def test_stdout_is_the_same_in_process_and_forked(self, monkeypatch, capsys):
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(simulator, "_worker_count", lambda w=workers: w)
+            assert main(["reproduce-paper", "--dt", "1e-3"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_divergence_in_a_worker_exits_4(self, monkeypatch, capsys):
+        # The worker's NonFiniteState crosses the process boundary pickled.
+        def diverging(**overrides):
+            # The unstable schedule of test_divergence_exit_code_and_no_partial_files.
+            wild = vehicle_model.DynamicCoefficients(
+                Z_v=-0.05, Z_q=600.0, Z_theta=-6.5, Z_delta=-0.001,
+                M_v=-0.003, M_q=80.0, M_delta=-0.0001,
+            )
+            schedule = vehicle_model.CoefficientSchedule(
+                ((60.0, vehicle_model.PITCH_COEFFS_T60), (61.0, wild)))
+            return simulator.scenario_paper_lti(schedule=schedule, plant_mode="ltv", **overrides)
+
+        parent = os.getpid()
+        simulate = simulator.simulate
+
+        def simulate_in_worker(scenario):
+            assert os.getpid() != parent
+            return simulate(scenario)
+
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        monkeypatch.setattr(simulator, "simulate", simulate_in_worker)
+        monkeypatch.setitem(simulator.BUILTIN_SCENARIOS, "paper-lti", diverging)
+        assert main(["reproduce-paper", "--dt", "1e-3"]) == EXIT_DIVERGED
+        assert "error=simulation-diverged: state became non-finite" in capsys.readouterr().err
 
 
 class TestParser:

@@ -6,6 +6,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from conftest import (
 )
 from hinf_autopilot import simulator
 from hinf_autopilot.actuators_sensors import SERVO_RATE_LIMIT
-from hinf_autopilot.controller import design_point_t60, synthesize
+from hinf_autopilot.controller import DesignPoint, design_point_t60, synthesize
 from hinf_autopilot.simulator import (
     DisturbanceSpec,
     Metrics,
@@ -40,6 +41,7 @@ from hinf_autopilot.simulator import (
     scenario_paper_lti,
     scenario_paper_ltv,
     simulate,
+    simulate_to_csv,
     write_trace_csv,
 )
 from hinf_autopilot.vehicle_model import (
@@ -439,6 +441,15 @@ class TestSimulate:
     def test_synthesis_failure_wrapped(self):
         with pytest.raises(SynthesisFailed):
             simulate(quiet_scenario(design=design_point_t60(gamma=1e-6)))
+
+    def test_plant_whose_b_bt_overflows_is_a_value_error(self, tmp_path):
+        # Was a LinAlgError from the Riccati solver's eigensolver.
+        coeffs = dataclasses.replace(PITCH_COEFFS_T60, M_delta=-1e200)
+        scenario = quiet_scenario(design=DesignPoint(t_design=60.0, gamma=20.0, coeffs=coeffs))
+        with pytest.raises(ValueError, match="B B' has non-finite entries"):
+            simulate(scenario)
+        with pytest.raises(ValueError, match="B B' has non-finite entries"):
+            stream(scenario, tmp_path / "trace.csv")
 
     def test_energy_ratio_bounded_by_level(self):
         scenario = quiet_scenario(
@@ -879,6 +890,90 @@ class TestFanOut:
         assert results == [k * k for k in range(20)]
         assert len(submitted) == 20
         assert max(in_flight) == 2 * simulator._BLOCKS_PER_WORKER
+
+    def test_iterator_is_taken_lazily_with_the_same_bound(self, monkeypatch):
+        # A caller may reuse an item's buffer once it is yielded: when an item
+        # is taken, at most workers * _BLOCKS_PER_WORKER earlier ones are not.
+        taken, results, waiting = [], [], []
+
+        def items():
+            for k in range(20):
+                waiting.append(len(taken) - len(results))
+                taken.append(k)
+                yield k
+
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        for value in simulator._fan_out(lambda k: k * k, items()):
+            results.append(value)
+        assert results == [k * k for k in range(20)]
+        assert max(waiting) == 2 * simulator._BLOCKS_PER_WORKER
+
+
+def stream(scenario, path) -> Metrics:
+    with open(path, "wb") as handle:
+        return simulate_to_csv(scenario, handle)
+
+
+class TestSimulateToCsv:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_and_metrics_are_those_of_simulate(self, tmp_path, monkeypatch, workers):
+        # 2000 steps across the 100 s breakpoint in chunks of 32: 32 ring
+        # slots' worth, so each of the 2 * workers + 1 slots is filled four
+        # times or more.
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", 32)
+        monkeypatch.setattr(simulator, "_worker_count", lambda: workers)
+        scenario = scenario_paper_ltv(
+            t_span=(99.0, 101.0), dt=1e-3,
+            disturbances=DisturbanceSpec(
+                channel1=(Noise(amplitude=0.05, seed=3, hold=1e-3), Sine(0.02, 2.0)),
+                channel2=(Step(t0=100.0, amplitude=0.05),),
+            ),
+        )
+        trace, metrics = simulate(scenario)
+        write_trace_csv(trace, tmp_path / "whole.csv")
+        assert stream(scenario, tmp_path / "streamed.csv") == metrics
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert metrics == compute_metrics(trace, scenario.servo_rate_limit)
+
+    @pytest.mark.parametrize("span", [
+        (60.0, 60.001), (60.0, 60.064), (60.0, 60.065), (60.0, 60.127), (60.0, 60.128),
+        (60.0, 60.129),
+    ])
+    def test_one_step_and_slot_edges(self, tmp_path, monkeypatch, span):
+        # In chunks of 64 and slots of 128 rows: one step; one chunk and tf;
+        # a second chunk of one step and tf; tf as a slot's last row, as the
+        # one row past it, and alone with one step in the next slot.
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", 64)
+        scenario = quiet_scenario(
+            t_span=span, disturbances=DisturbanceSpec(channel2=(Step(60.0, 0.01),)))
+        trace, metrics = simulate(scenario)
+        write_trace_csv(trace, tmp_path / "whole.csv")
+        assert stream(scenario, tmp_path / "streamed.csv") == metrics
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_raises_at_the_time_of_simulate(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(simulator, "_worker_count", lambda: workers)
+        with pytest.raises(NonFiniteState) as expected:
+            simulate(diverging_scenario())
+        with pytest.raises(NonFiniteState) as streamed:
+            stream(diverging_scenario(), tmp_path / "trace.csv")
+        assert streamed.value.time == expected.value.time
+        assert streamed.value.trace is None
+
+
+class TestNonFiniteStatePickles:
+    def test_round_trip(self):
+        err = pickle.loads(pickle.dumps(NonFiniteState(61.5, None)))
+        assert isinstance(err, NonFiniteState)
+        assert (err.time, err.trace) == (61.5, None)
+        assert str(err) == "state became non-finite at t=61.5 s"
+
+    def test_round_trip_keeps_the_partial_trace(self):
+        trace = random_trace(3)
+        err = pickle.loads(pickle.dumps(NonFiniteState(60.0004, trace)))
+        assert err.time == 60.0004
+        assert reference_csv(err.trace) == reference_csv(trace)
 
 
 class TestScenarioValidation:
