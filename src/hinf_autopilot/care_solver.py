@@ -100,12 +100,21 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return mat
 
 
+def _check_grams(*grams) -> None:
+    """Refuse data whose Gram matrices overflow; each is a (name, M, M') to multiply."""
+    with np.errstate(over="ignore"):
+        for name, left, right in grams:
+            if not np.isfinite(left @ right).all():
+                raise ValueError(f"{name} has non-finite entries; the equation cannot be formed")
+
+
 @dataclass
 class StateSpace:
     """A real state-space system (A, B, C, D).
 
     Members are validated for mutual dimensional consistency and finiteness
-    on construction.
+    on construction, and so are the Gram matrices BB', C'C and D'D that the
+    norm's Hamiltonian is formed from.
     """
 
     A: np.ndarray
@@ -127,6 +136,9 @@ class StateSpace:
             raise ShapeError("C_out column count must match A")
         if self.D_ff.shape != (self.C_out.shape[0], self.B_in.shape[1]):
             raise ShapeError("D_ff must be (outputs x inputs)")
+        _check_grams(("B_in B_in'", self.B_in, self.B_in.T),
+                     ("C_out' C_out", self.C_out.T, self.C_out),
+                     ("D_ff' D_ff", self.D_ff.T, self.D_ff))
 
 
 @dataclass
@@ -164,12 +176,8 @@ class CareProblem:
         self.gamma = float(self.gamma)
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        with np.errstate(over="ignore"):
-            grams = (("B B'", self.B @ self.B.T), ("B_w B_w'", self.B_w @ self.B_w.T),
-                     ("C'C", self.C.T @ self.C))
-        for name, gram in grams:
-            if not np.all(np.isfinite(gram)):
-                raise ValueError(f"{name} has non-finite entries; the equation cannot be formed")
+        _check_grams(("B B'", self.B, self.B.T), ("B_w B_w'", self.B_w, self.B_w.T),
+                     ("C'C", self.C.T, self.C))
 
 
 @dataclass
@@ -243,12 +251,17 @@ def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.nda
 
     Builds H = [[A, -G], [-Q, -A']], takes the n eigenvectors belonging to
     strictly-stable eigenvalues, and forms X = X2 X1^-1 from the stacked
-    basis.  Near-axis eigenvalues, a wrong-dimensional stable set, or an
-    ill-conditioned X1 all raise NoStabilizingSolution.
+    basis.  A non-finite G (gamma^-2 BwBw' overflowed), near-axis
+    eigenvalues, a wrong-dimensional stable set, or an ill-conditioned X1
+    all raise NoStabilizingSolution.
     """
     n = A.shape[0]
     H = _hamiltonian(A, -G, -Q)
     h_scale = np.linalg.norm(H, "fro")
+    if not math.isfinite(h_scale) and not np.all(np.isfinite(H)):
+        raise NoStabilizingSolution(
+            "G = BB' - gamma^-2 BwBw' is not finite: gamma^-2 BwBw' overflows at this level"
+        )
     eigvals, eigvecs = np.linalg.eig(H)
 
     if np.any(np.abs(eigvals.real) < _AXIS_TOL * h_scale):
@@ -296,8 +309,16 @@ def _square(x: float) -> np.float64:
 
 
 def _riccati_g(BBt, WWt, gamma: float) -> np.ndarray:
-    """G = BB' - gamma^-2 BwBw'; a gamma whose square overflows is the LQR limit, as inf."""
-    return BBt - WWt / _square(gamma)
+    """G = BB' - gamma^-2 BwBw'; a gamma whose square overflows is the LQR limit, as inf.
+
+    G is BB' whenever BwBw' is zero, even where gamma^2 underflows to 0;
+    otherwise a gamma^-2 BwBw' that overflows leaves G non-finite.
+    """
+    scale = _square(gamma)
+    if scale == 0.0 and not WWt.any():  # 0 / 0 would be nan
+        return BBt - WWt
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return BBt - WWt / scale
 
 
 def _residual(A, G, Q, X) -> np.ndarray:
@@ -420,8 +441,9 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     Boyd, Balakrishnan and Kabamba (Math. Control Signals Systems 2, 1989).
     The lower bound lb is always an evaluated gain sigma_max(G(jw)); it
     starts as the largest at w = 0, infinity and the most resonant pole's
-    |lambda|.  Each pass tests the level (1 + tol) lb: with no crossing, lb
-    is within tol of the norm and is returned.  Otherwise lb rises to the
+    |lambda|.  Each pass tests the level (1 + tol) lb, or the next float
+    above lb where that rounds to lb: with no crossing, lb is within tol of
+    the norm and is returned.  Otherwise lb rises to the
     largest gain at the crossings and their midpoints; a pass that does not
     raise it (crossings within rounding) also returns lb.  Past a fixed pass
     cap the function raises.
@@ -447,7 +469,8 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     for _ in range(_MAX_LEVEL_PASSES):
         # The 1e-12 floor keeps the level test away from gamma^-2 overflow on
         # (numerically) zero transfer functions; anything below it is zero.
-        crossings = _axis_crossing(A, B, C, D, max((1.0 + tol) * lb, 1e-12))
+        level = max((1.0 + tol) * lb, math.nextafter(lb, math.inf), 1e-12)
+        crossings = _axis_crossing(A, B, C, D, level)
         if crossings.size == 0:
             return lb
         probes = np.concatenate([crossings, 0.5 * (crossings[1:] + crossings[:-1])])

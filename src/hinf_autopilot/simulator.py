@@ -41,8 +41,7 @@ columns of trapezoid terms (24 bytes a step) and about 7 MB of rings with
 two workers, never the trace.
 
 Each disturbance primitive owns its formula, `values(t)`, which
-`sample_grid` sums per channel; `write_trace_csv` formats a trace in
-blocks through `_fan_out`, in process or in forked workers.
+`sample_grid` sums per channel.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ __all__ = [
     "scenario_paper_ltv",
     "scenario_paper_lti",
     "BUILTIN_SCENARIOS",
-    "write_trace_csv",
     "metrics_to_dict",
 ]
 
@@ -712,9 +710,6 @@ def _metrics(span: float, steps: int, energies, extremes) -> Metrics:
 
 _TRACE_HEADER = "t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"
 
-#: Rows formatted per block; a block of the paper-ltv trace is about 0.4 MB.
-_BLOCK_ROWS = 2048
-
 #: Results each `_fan_out` worker may have in flight; bounds the text the writer holds.
 _BLOCKS_PER_WORKER = 2
 
@@ -727,9 +722,9 @@ _SLOT_CHUNKS = 2
 _fan_out_fn = None
 
 
-def _format_block(cols: list, start: int, stop: int) -> bytes:
-    """CSV text of rows start..stop-1: `repr` of each value, comma-joined."""
-    fields = [map(repr, col[start:stop].tolist()) for col in cols]
+def _format_block(cols) -> bytes:
+    """CSV text of the rows of the columns: `repr` of each value, comma-joined."""
+    fields = [map(repr, col.tolist()) for col in cols]
     lines = map(",".join, zip(*fields))
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -786,38 +781,6 @@ def _fan_out(fn, items, workers: int = 0):
         _fan_out_fn = None
 
 
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace with round-trip-exact decimal floats.
-
-    Each value is written as `repr(float(v))`.  Rows are formatted in
-    blocks of _BLOCK_ROWS through `_fan_out` (forked workers when the trace
-    has two or more blocks and the process may run on several CPUs) and
-    written in order, with the same bytes either way.
-    """
-    cols = [
-        np.asarray(col, dtype=float)
-        for col in (
-            trace.t,
-            trace.x[:, 0],
-            trace.x[:, 1],
-            trace.x[:, 2],
-            trace.theta,
-            trace.q,
-            trace.delta,
-            trace.u,
-            trace.w[:, 0],
-            trace.w[:, 1],
-            trace.q_meas,
-        )
-    ]
-    with open(path, "wb") as handle:
-        handle.write((_TRACE_HEADER + "\n").encode("ascii"))
-        handle.writelines(_fan_out(
-            lambda start: _format_block(cols, start, start + _BLOCK_ROWS),
-            range(0, len(cols[0]), _BLOCK_ROWS),
-        ))
-
-
 def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
     """Run the scenario as `simulate` does, writing its trace CSV to the binary `handle`.
 
@@ -868,7 +831,7 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
     def format_slot(item) -> int:
         # The text stays in the slot's share of `texts`: only its length is sent back.
         slot, n_rows = item
-        block = _format_block(ring[slot, :, 1:], 0, n_rows)
+        block = _format_block(ring[slot, :, 1:n_rows + 1])
         texts[slot * text_size:slot * text_size + len(block)] = block
         return len(block)
 

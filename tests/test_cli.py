@@ -559,15 +559,15 @@ class TestOutputFiles:
         parent = os.getpid()
         format_block = simulator._format_block
 
-        def fail_in_worker(cols, start, stop):
+        def fail_in_worker(cols):
             if os.getpid() != parent:
                 raise RuntimeError("formatting failed")
-            return format_block(cols, start, stop)
+            return format_block(cols)
 
         monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
         monkeypatch.setattr(simulator, "_format_block", fail_in_worker)
         out = tmp_path / "out"
-        # 10 001 rows: several blocks, so the forked writer runs.
+        # 10 001 rows: three ring slots of 4096, so the forked formatters run.
         config = short_simulate_config(tmp_path, t_span=(60.0, 70.0))
         with pytest.raises(RuntimeError, match="formatting failed"):
             main(["simulate", "--config", config, "--out", str(out)])

@@ -42,7 +42,6 @@ from hinf_autopilot.simulator import (
     scenario_paper_ltv,
     simulate,
     simulate_to_csv,
-    write_trace_csv,
 )
 from hinf_autopilot.vehicle_model import (
     PITCH_COEFFS_T60,
@@ -757,32 +756,16 @@ class TestComputeMetrics:
         assert peak <= 8 * (rows - 1) + 2 * block + 16384
 
 
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        trace, _ = simulate(
-            quiet_scenario(
-                t_span=(60.0, 60.5),
-                dt=1e-3,
-                disturbances=DisturbanceSpec(channel2=(Step(t0=60.0, amplitude=0.01),)),
-            )
-        )
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        assert data.shape == (len(trace.t), 11)
-        assert np.array_equal(data[:, 0], trace.t)
-        assert np.array_equal(data[:, 2], trace.x[:, 1])
-        assert np.array_equal(data[:, 6], trace.delta)
+def trace_columns(trace: SimulationTrace) -> list:
+    """The trace's 11 columns in the CSV's order."""
+    return [trace.t, trace.x[:, 0], trace.x[:, 1], trace.x[:, 2], trace.theta, trace.q,
+            trace.delta, trace.u, trace.w[:, 0], trace.w[:, 1], trace.q_meas]
 
 
 def reference_csv(trace: SimulationTrace) -> bytes:
     """The trace CSV written one row at a time with `repr` of each value."""
-    cols = [trace.t, trace.x[:, 0], trace.x[:, 1], trace.x[:, 2], trace.theta,
-            trace.q, trace.delta, trace.u, trace.w[:, 0], trace.w[:, 1], trace.q_meas]
     lines = ["t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"]
-    lines += [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*trace_columns(trace))]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -803,71 +786,26 @@ def random_trace(n: int, seed: int = 0) -> SimulationTrace:
     )
 
 
-class TestTraceCsvBytes:
-    @pytest.fixture
-    def forked_calls(self, monkeypatch):
-        """Worker counts of the executors `_fan_out` creates, with two workers available."""
-        calls = []
-        executor = concurrent.futures.ProcessPoolExecutor
+@pytest.fixture
+def forked_calls(monkeypatch):
+    """Worker counts of the executors `_fan_out` creates."""
+    calls = []
+    executor = concurrent.futures.ProcessPoolExecutor
 
-        def spy(max_workers, **kwargs):
-            calls.append(max_workers)
-            return executor(max_workers, **kwargs)
+    def spy(max_workers, **kwargs):
+        calls.append(max_workers)
+        return executor(max_workers, **kwargs)
 
-        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-        return calls
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return calls
 
-    def test_one_row(self, tmp_path, forked_calls):
-        trace = random_trace(1)
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
-        assert forked_calls == []
 
-    def test_short_simulated_trace(self, tmp_path, forked_calls):
-        trace, _ = simulate(quiet_scenario(
-            t_span=(60.0, 61.0),
-            disturbances=DisturbanceSpec(
-                channel1=(Noise(amplitude=0.05, seed=3, hold=1e-3),),
-                channel2=(Step(t0=60.2, amplitude=0.01),),
-            ),
-        ))
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
-        assert forked_calls == []
-
-    def test_long_trace_in_forked_workers(self, tmp_path, forked_calls):
-        n = 2 * simulator._BLOCK_ROWS + 123
-        trace = random_trace(n, seed=1)
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        assert forked_calls == [2]
-        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
-
-    def test_in_process_and_forked_bytes_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulator, "_BLOCK_ROWS", 256)
-        trace = random_trace(256 * 7 + 5, seed=2)
-        for workers, name in ((1, "inproc.csv"), (2, "two.csv"), (3, "three.csv")):
-            monkeypatch.setattr(simulator, "_worker_count", lambda w=workers: w)
-            write_trace_csv(trace, tmp_path / name)
-        inproc = (tmp_path / "inproc.csv").read_bytes()
-        assert inproc == reference_csv(trace)
-        assert (tmp_path / "two.csv").read_bytes() == inproc
-        assert (tmp_path / "three.csv").read_bytes() == inproc
-
-    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
-        parent = os.getpid()
-        format_block = simulator._format_block
-
-        def fail_in_worker(cols, start, stop):
-            if os.getpid() != parent:
-                raise RuntimeError(f"block {start} failed")
-            return format_block(cols, start, stop)
-
-        monkeypatch.setattr(simulator, "_BLOCK_ROWS", 64)
-        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
-        monkeypatch.setattr(simulator, "_format_block", fail_in_worker)
-        with pytest.raises(RuntimeError, match="block 0 failed"):
-            write_trace_csv(random_trace(1000), tmp_path / "trace.csv")
+class TestFormatBlock:
+    @pytest.mark.parametrize("rows", [1, 1000])
+    def test_every_magnitude_and_special_float_is_the_row_by_row_text(self, rows):
+        trace = random_trace(rows, seed=rows)
+        _, body = reference_csv(trace).split(b"\n", 1)
+        assert simulator._format_block(trace_columns(trace)) == body
 
 
 class TestFanOut:
@@ -916,10 +854,11 @@ def stream(scenario, path) -> Metrics:
 
 class TestSimulateToCsv:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_bytes_and_metrics_are_those_of_simulate(self, tmp_path, monkeypatch, workers):
+    def test_bytes_and_metrics_are_those_of_simulate(self, tmp_path, monkeypatch, forked_calls,
+                                                     workers):
         # 2000 steps across the 100 s breakpoint in chunks of 32: 32 ring
         # slots' worth, so each of the 2 * workers + 1 slots is filled four
-        # times or more.
+        # times or more; two or three workers format them in forked processes.
         monkeypatch.setattr(simulator, "_STEP_CHUNK", 32)
         monkeypatch.setattr(simulator, "_worker_count", lambda: workers)
         scenario = scenario_paper_ltv(
@@ -930,9 +869,9 @@ class TestSimulateToCsv:
             ),
         )
         trace, metrics = simulate(scenario)
-        write_trace_csv(trace, tmp_path / "whole.csv")
         assert stream(scenario, tmp_path / "streamed.csv") == metrics
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert forked_calls == ([] if workers == 1 else [workers])
+        assert (tmp_path / "streamed.csv").read_bytes() == reference_csv(trace)
         assert metrics == compute_metrics(trace, scenario.servo_rate_limit)
 
     @pytest.mark.parametrize("span", [
@@ -947,9 +886,55 @@ class TestSimulateToCsv:
         scenario = quiet_scenario(
             t_span=span, disturbances=DisturbanceSpec(channel2=(Step(60.0, 0.01),)))
         trace, metrics = simulate(scenario)
-        write_trace_csv(trace, tmp_path / "whole.csv")
         assert stream(scenario, tmp_path / "streamed.csv") == metrics
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "streamed.csv").read_bytes() == reference_csv(trace)
+
+    def test_run_within_one_slot_is_formatted_in_process(self, tmp_path, monkeypatch,
+                                                          forked_calls):
+        # 2500 steps at the default dt with noise held over 5 steps: 2501
+        # rows, below one slot of 4096, so one item and no fork.
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        scenario = quiet_scenario(
+            t_span=(60.0, 60.5), dt=2e-4,
+            disturbances=DisturbanceSpec(
+                channel1=(Noise(amplitude=0.05, seed=3, hold=1e-3),),
+                channel2=(Step(t0=60.2, amplitude=0.01),),
+            ),
+        )
+        trace, metrics = simulate(scenario)
+        assert stream(scenario, tmp_path / "trace.csv") == metrics
+        assert forked_calls == []
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
+
+    def test_reads_back_with_genfromtxt(self, tmp_path):
+        scenario = quiet_scenario(
+            t_span=(60.0, 60.5),
+            disturbances=DisturbanceSpec(channel2=(Step(t0=60.0, amplitude=0.01),)),
+        )
+        trace, _ = simulate(scenario)
+        path = tmp_path / "trace.csv"
+        stream(scenario, path)
+        header = path.read_text().splitlines()[0]
+        assert header == "t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"
+        data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        assert data.shape == (len(trace.t), 11)
+        for k, column in enumerate(trace_columns(trace)):
+            assert np.array_equal(data[:, k], column), k
+
+    def test_worker_exception_reaches_caller(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        format_block = simulator._format_block
+
+        def fail_in_worker(cols):
+            if os.getpid() != parent:
+                raise RuntimeError(f"block of {len(cols[0])} rows failed")
+            return format_block(cols)
+
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", 32)
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_format_block", fail_in_worker)
+        with pytest.raises(RuntimeError, match="block of 64 rows failed"):
+            stream(quiet_scenario(t_span=(60.0, 61.0)), tmp_path / "trace.csv")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_raises_at_the_time_of_simulate(self, tmp_path, monkeypatch, workers):
