@@ -12,6 +12,7 @@ from .care_solver import (
     HinfSolution,
     IndefiniteSolution,
     NoStabilizingSolution,
+    NonFiniteGain,
     ShapeError,
     StateSpace,
     UnstableSystem,

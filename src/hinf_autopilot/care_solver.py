@@ -38,6 +38,7 @@ __all__ = [
     "IndefiniteSolution",
     "UnstableSystem",
     "BracketInvalid",
+    "NonFiniteGain",
     "solve_care",
     "solve_lqr",
     "care_residual",
@@ -89,6 +90,10 @@ class UnstableSystem(ValueError):
 
 class BracketInvalid(ValueError):
     """The bisection bracket does not enclose the feasibility boundary."""
+
+
+class NonFiniteGain(ValueError):
+    """A frequency response of the system is past the range of a double."""
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -408,8 +413,11 @@ def care_residual(problem: CareProblem, X) -> float:
 
 
 def _gain(A, B, C, D, w: float) -> float:
-    """sigma_max(G(jw)) of G(s) = C (sI - A)^-1 B + D."""
-    G = C @ np.linalg.solve(1j * w * np.eye(A.shape[0]) - A, B) + D
+    """sigma_max(G(jw)) of G(s) = C (sI - A)^-1 B + D; NonFiniteGain if G(jw) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = C @ np.linalg.solve(1j * w * np.eye(A.shape[0]) - A, B) + D
+    if not np.isfinite(G).all():
+        raise NonFiniteGain(f"G(jw) at w = {w!r} rad/s overflows a double")
     return float(np.linalg.norm(G, 2))
 
 
@@ -455,6 +463,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     Raises:
         ValueError: tol is not finite and positive.
         UnstableSystem: A has an eigenvalue with non-negative real part.
+        NonFiniteGain: a gain evaluated on the axis overflows a double.
         RuntimeError: the iteration did not converge within its pass cap.
     """
     _check_tol(tol)

@@ -404,7 +404,7 @@ def _cmd_norm(args) -> int:
     tol = _tol(config)
     try:
         value = care_solver.hinf_norm(system, tol=tol)
-    except care_solver.UnstableSystem as exc:
+    except (care_solver.UnstableSystem, care_solver.NonFiniteGain) as exc:
         raise ConfigError(str(exc)) from exc
     print(f"hinf_norm = {value!r}")
     return EXIT_OK

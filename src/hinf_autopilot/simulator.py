@@ -31,14 +31,14 @@ chunk's steps through the previous chunk's rows: the table is a pure
 function of those inputs, so the trace is the same.
 
 `simulate` gives the loop views of the whole trace, and compute_metrics
-then integrates in blocks into one scratch column.  Its peak memory is the
-trace (88 bytes a step), one scratch column (8 bytes a step) and one chunk
-of about 3 MB: under tracemalloc, a 20 k-step paper-ltv run peaks 3.0 MB
-above its 1.76 MB trace.  `simulate_to_csv`, the CLI's path, gives it the
-slots of a ring in shared memory instead, which `_fan_out`'s forked workers
-format into CSV text while the next slot fills; it holds the metrics' three
-columns of trapezoid terms (24 bytes a step) and about 7 MB of rings with
-two workers, never the trace.
+then sums it in blocks of 32768 steps.  Its peak memory is the trace (88
+bytes a step) and one chunk of about 3 MB: under tracemalloc, a 20 k-step
+paper-ltv run peaks 3.0 MB above its 1.76 MB trace.  `simulate_to_csv`,
+the CLI's path, gives it the slots of a ring in shared memory instead,
+which `_fan_out`'s forked workers format into CSV text while the next slot
+fills, and sums the metrics' blocks as the chunks come: it holds one
+block of trapezoid terms (0.8 MB) and about 7 MB of rings with two
+workers, never a full-length column.
 
 Each disturbance primitive owns its formula, `values(t)`, which
 `sample_grid` sums per channel.
@@ -106,8 +106,8 @@ DEFAULT_DT = 2e-4
 MAX_DT = 1e-3
 
 #: Cap on a run's step count; Scenario refuses more, before anything is
-#: allocated.  The trace and the metrics' scratch column take 96 bytes a
-#: step, so 9.6 GB at the cap.
+#: allocated.  The trace `simulate` returns takes 88 bytes a step, so 8.8 GB
+#: at the cap.
 MAX_STEPS = 10**8
 
 
@@ -634,8 +634,8 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     return trace, compute_metrics(trace, scenario.servo_rate_limit)
 
 
-#: Trace rows per block of compute_metrics; bounds its temporaries to a few
-#: blocks beside one scratch column.
+#: Steps per block of the energy sums: a run's metrics hold one block of
+#: trapezoid terms and a few of temporaries, whatever its length.
 _METRIC_BLOCK = 1 << 15
 
 
@@ -648,34 +648,82 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
     `simulate` passes the scenario's servo_rate_limit); energy_ratio is the
     tracking-error output energy over the disturbance energy (zero when the
     run had no disturbance).
+
+    Each energy is math.fsum of the np.sum of its trapezoid terms over each
+    block of _METRIC_BLOCK (32768) steps from the first, so only one block
+    of terms is held.  A run of at most one block has the bits of
+    np.trapezoid over the whole column; a longer one is within about an ulp.
     """
-    t = trace.t
-    n = len(t)
-    if n == 0:
+    if len(trace.t) == 0:
         raise ValueError("compute_metrics needs at least one sample; the trace is empty")
-    int_e, e, delta = trace.x[:, 0], trace.x[:, 1], trace.delta
-    # Row blocks that share their last row with the next block, so each
-    # step (a difference of two rows) lies in exactly one block.
-    blocks = [slice(a, a + _METRIC_BLOCK + 1) for a in range(0, n, _METRIC_BLOCK)]
-    scratch = np.empty(n - 1)
+    sums = _RunSums(rate_limit)
+    sums.add(trace.t, trace.x[:, 0], trace.x[:, 1], trace.delta, trace.w[:, 0], trace.w[:, 1])
+    return sums.metrics()
 
-    def energy(*columns) -> float:
-        for rows in blocks:
-            _energy_terms(t[rows], [column[rows] for column in columns],
-                          scratch[rows.start:rows.stop - 1])
-        return float(scratch.sum())
 
-    energies = energy(e), energy(int_e), energy(trace.w[:, 0], trace.w[:, 1])
-    max_step = rate_limit * (float(t[1] - t[0]) if n > 1 else 1.0)
-    extremes = [_extremes(e[rows], delta[rows], max_step) for rows in blocks]
-    return _metrics(float(t[-1] - t[0]), n - 1, energies, extremes)
+class _RunSums:
+    """The Metrics of a run added in order, in pieces that start with the last row before.
+
+    The energies of e, int_e and w1^2 + w2^2 are summed in blocks counted
+    from the run's first step, so the pieces do not show; a blocked sum is at
+    least as accurate as one pairwise sum (Higham, SIAM J. Sci. Comput. 14, 1993).
+    """
+
+    def __init__(self, rate_limit: float):
+        self.rate_limit = rate_limit
+        self.terms, self.filled, self.block_sums = np.empty((3, _METRIC_BLOCK)), 0, []
+        self.t_first, self.saturated, self.max_abs_e, self.max_abs_delta = None, 0, 0.0, 0.0
+
+    def add(self, t, int_e, e, delta, w1, w2) -> None:
+        if self.t_first is None:
+            self.t_first = t[0]
+            self.max_step = self.rate_limit * (float(t[1] - t[0]) if len(t) > 1 else 1.0)
+        self.t_last, last = t[-1], len(t) - 1
+        ends = range(_METRIC_BLOCK - self.filled, last, _METRIC_BLOCK)  # rows ending a block
+        for a, b in zip([0, *ends], [*ends, last]):
+            rows = slice(a, b + 1)
+            for terms, columns in zip(self.terms[:, self.filled:self.filled + b - a],
+                                      ((e,), (int_e,), (w1, w2))):
+                _energy_terms(t[rows], [column[rows] for column in columns], terms)
+            self.saturated += int(np.count_nonzero(
+                np.abs(np.diff(delta[rows])) >= self.max_step * (1.0 - 1e-9)))
+            # np.maximum keeps a nan, as np.max does.
+            self.max_abs_e = np.maximum(self.max_abs_e, np.abs(e[rows]).max())
+            self.max_abs_delta = np.maximum(self.max_abs_delta, np.abs(delta[rows]).max())
+            self.filled += b - a
+            if self.filled == _METRIC_BLOCK:
+                self.block_sums.append([float(row.sum()) for row in self.terms])
+                self.filled = 0
+
+    def metrics(self) -> Metrics:
+        partial = [float(row.sum()) for row in self.terms[:, :self.filled]]
+        e_energy, theta_energy, w_energy = map(_fsum, zip(*self.block_sums, partial))
+        span = float(self.t_last - self.t_first)
+        steps = len(self.block_sums) * _METRIC_BLOCK + self.filled
+        return Metrics(
+            rms_e=math.sqrt(e_energy / span) if span > 0 else 0.0,
+            max_abs_e=float(self.max_abs_e),
+            rms_theta_err=math.sqrt(theta_energy / span) if span > 0 else 0.0,
+            max_abs_delta=float(self.max_abs_delta),
+            # The count over the steps is the float mean of the step flags.
+            servo_saturation_fraction=self.saturated / steps if steps else 0.0,
+            energy_ratio=e_energy / w_energy if w_energy > 0.0 else 0.0,
+        )
+
+
+def _fsum(values) -> float:
+    """math.fsum, or the float sum where the exact one is past a double or has inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
 
 
 def _energy_terms(t: np.ndarray, columns, out: np.ndarray) -> None:
     """The trapezoid terms over t of y, the sum of the columns' squares, into `out`.
 
     np.trapezoid(y, t) is (diff(t) * (y[1:] + y[:-1]) / 2.0).sum(), and
-    x ** 2 is numpy's x * x: one sum of a run's terms has its bits.
+    x ** 2 is numpy's x * x: the np.sum of a run's terms has its bits.
     """
     y = columns[0] ** 2
     for column in columns[1:]:
@@ -684,28 +732,6 @@ def _energy_terms(t: np.ndarray, columns, out: np.ndarray) -> None:
     y = None  # freed before diff(t) is made
     out *= np.diff(t)
     out /= 2.0
-
-
-def _extremes(e: np.ndarray, delta: np.ndarray, max_step: float) -> tuple:
-    """(steps whose deflection change reaches max_step, max |e|, max |delta|) over some rows."""
-    d_delta = np.diff(delta)
-    saturated = np.count_nonzero(np.abs(d_delta, out=d_delta) >= max_step * (1.0 - 1e-9))
-    return int(saturated), np.abs(e).max(), np.abs(delta).max()
-
-
-def _metrics(span: float, steps: int, energies, extremes) -> Metrics:
-    """The Metrics of a run from its energies of e, int_e and w and its blocks' `_extremes`."""
-    e_energy, theta_energy, w_energy = energies
-    saturated, max_abs_e, max_abs_delta = zip(*extremes)
-    return Metrics(
-        rms_e=math.sqrt(e_energy / span) if span > 0 else 0.0,
-        max_abs_e=float(np.max(max_abs_e)),
-        rms_theta_err=math.sqrt(theta_energy / span) if span > 0 else 0.0,
-        max_abs_delta=float(np.max(max_abs_delta)),
-        # The count over the steps is the float mean of the step flags.
-        servo_saturation_fraction=sum(saturated) / steps if steps else 0.0,
-        energy_ratio=e_energy / w_energy if w_energy > 0.0 else 0.0,
-    )
 
 
 _TRACE_HEADER = "t,int_e,e,vz,theta_rad,q_rad_s,delta_rad,u_rad,w1,w2,q_meas_rad_s"
@@ -786,9 +812,12 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
 
     The bytes and metrics are `simulate`'s, but the trace is never held:
     the chunks' rows go into the slots of a ring in shared memory, which
-    `_fan_out`'s workers format into a text ring while the next slot fills,
-    and the metrics keep their trapezoid terms (24 bytes a step).  Raises
-    as `simulate` does, but the trace of a NonFiniteState is None.
+    `_fan_out`'s workers format into a text ring while the next slot fills.
+    The metrics are compute_metrics', summed as the chunks come in the same
+    fixed blocks of _METRIC_BLOCK steps, so they keep one block of terms and
+    one sum a block: bitwise `simulate`'s, whatever the chunks, slots and
+    workers, and within about an ulp of np.trapezoid over the whole column.
+    Raises as `simulate` does, but the trace of a NonFiniteState is None.
     """
     workers = _worker_count()
     n_slots = workers * _BLOCKS_PER_WORKER + 1  # one more than _fan_out keeps in flight
@@ -798,8 +827,7 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
     # A value's repr has at most 24 characters ("-1.2345678901234567e-308"), then a separator.
     text_size = 11 * 25 * (rows + 1)
     texts = mmap.mmap(-1, n_slots * text_size)
-    terms = np.empty((3, scenario.n_steps))
-    extremes, metrics = [], []
+    sums = _RunSums(scenario.servo_rate_limit)
 
     def views(first: int, end: int):
         k, offset = divmod(first, rows)
@@ -816,17 +844,10 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
             slot, offset = first // rows % n_slots, first % rows
             t, int_e, e, _, _, _, delta, _, w1, w2, _ = ring[slot, :, offset + (first == 0):
                                                              offset + n_rows + 1]
-            if first == 0:
-                t_first, max_step = t[0], scenario.servo_rate_limit * float(t[1] - t[0])
             with np.errstate(over="ignore"):  # the rows of a run that diverges later
-                for out, columns in zip(terms[:, max(first - 1, 0):end - 1],
-                                        ((e,), (int_e,), (w1, w2))):
-                    _energy_terms(t, columns, out)
-            extremes.append(_extremes(e, delta, max_step))
+                sums.add(t, int_e, e, delta, w1, w2)
             if end % rows == 0 or end > scenario.n_steps:
                 yield slot, end - (first - offset)
-        energies = [float(column.sum()) for column in terms]
-        metrics.append(_metrics(float(t[-1] - t_first), scenario.n_steps, energies, extremes))
 
     def format_slot(item) -> int:
         # The text stays in the slot's share of `texts`: only its length is sent back.
@@ -839,4 +860,4 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
     for k, size in enumerate(_fan_out(format_slot, slots(), workers)):
         start = k % n_slots * text_size
         handle.write(texts[start:start + size])
-    return metrics[0]
+    return sums.metrics()

@@ -25,6 +25,7 @@ from hinf_autopilot.care_solver import (
     CareProblem,
     IndefiniteSolution,
     NoStabilizingSolution,
+    NonFiniteGain,
     ShapeError,
     StateSpace,
     UnstableSystem,
@@ -234,6 +235,14 @@ class TestHinfNorm:
         # (gamma^2 I - D'D)^-1 is 0, with no nan off its diagonal.
         sys = StateSpace(A=[[-1.0, 1e308], [0.0, -2.0]], B_in=B, C_out=[[1.0, 1.0]], D_ff=D)
         assert hinf_norm(sys) == pytest.approx(norm, rel=1e-12)
+
+    def test_gain_past_a_double_is_refused(self):
+        # The DC gain is about 5e319: G(0) overflows, where the SVD of an
+        # inf/nan G ended in LinAlgError.
+        sys = StateSpace(A=[[-1e-160, 1e160], [0.0, -2.0]], B_in=[[1.0], [1.0]],
+                         C_out=[[-0.5, -0.5]], D_ff=[[1.0]])
+        with pytest.raises(NonFiniteGain, match=r"w = 0\.0 rad/s"):
+            hinf_norm(sys)
 
     def test_zero_transfer_function(self):
         sys = StateSpace(A=[[-1.0]], B_in=[[0.0]], C_out=[[0.0]], D_ff=[[0.0]])

@@ -68,6 +68,19 @@ class TestNorm:
         assert capsys.readouterr().out.strip() == printed
 
 
+    def test_gain_past_a_double_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"system": {
+            "A": [[-1e-160, 1e160], [0, -2]], "B": [[1], [1]], "C": [[-0.5, -0.5]], "D": [[1]],
+        }}))
+        assert main(["norm", "--config", str(config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error=config-error:"), err
+        assert "w = 0.0 rad/s" in err[0]
+
+
 class TestSynthesize:
     def test_writes_json(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Golden outputs: the bytes of the shipped commands, pinned in tests/golden.json.
 
-Each entry is one output of `cli.main`: a short simulate run's trace.csv
-and metrics.json, both shipped design points' synthesis.json, and the
+Each entry is one output of `cli.main`: a simulate run's trace.csv and
+metrics.json (short runs, and one of 50 000 steps whose metrics sum
+several blocks), both shipped design points' synthesis.json, and the
 reproduce-paper --dt 1e-3 stdout.  On the platform the manifest was
 recorded on (its numpy version and machine), every output must have the
 recorded sha256, and a mismatch names the columns whose summaries moved.
@@ -57,6 +58,8 @@ SIMULATE_CASES = {
     "rate-saturated": {"scenario": "paper-ltv", "t_span": [60.0, 61.0], "disturbances": {
         "channel2": [{"type": "step", "t0": 60.2, "amplitude": 0.5}]}},
     "dt-1e-3": {"scenario": "paper-ltv", "t_span": [60.0, 70.0], "dt": 1e-3},
+    # 50 000 steps: the one run longer than a block of the metrics' sums (32 768 steps).
+    "ltv-multi-block": {"scenario": "paper-ltv", "t_span": [60.0, 70.0]},
 }
 
 SYNTHESIZE_CASES = {"t60": ["--design-time", "60", "--gamma", "20"],

@@ -674,14 +674,14 @@ class TestComputeMetrics:
         assert metrics.energy_ratio == pytest.approx(0.25, rel=1e-9)
 
     @staticmethod
-    def whole_column_metrics(trace, rate_limit=SERVO_RATE_LIMIT):
-        """compute_metrics' formulas on whole columns, through np.trapezoid."""
+    def whole_column_metrics(trace, rate_limit=SERVO_RATE_LIMIT, integrate=np.trapezoid):
+        """compute_metrics' formulas on whole columns, through np.trapezoid or `integrate`."""
         t = trace.t
         span = float(t[-1] - t[0])
         int_e, e = trace.x[:, 0], trace.x[:, 1]
-        e_energy = float(np.trapezoid(e * e, t))
-        theta_energy = float(np.trapezoid(int_e * int_e, t))
-        w_energy = float(np.trapezoid(trace.w[:, 0] ** 2 + trace.w[:, 1] ** 2, t))
+        e_energy = float(integrate(e * e, t))
+        theta_energy = float(integrate(int_e * int_e, t))
+        w_energy = float(integrate(trace.w[:, 0] ** 2 + trace.w[:, 1] ** 2, t))
         d_delta = np.abs(np.diff(trace.delta))
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
         saturated = d_delta >= rate_limit * dt * (1.0 - 1e-9)
@@ -722,9 +722,10 @@ class TestComputeMetrics:
 
     @pytest.mark.parametrize("rows", [
         1, 2, 3, simulator._METRIC_BLOCK - 1, simulator._METRIC_BLOCK,
-        simulator._METRIC_BLOCK + 1, 3 * simulator._METRIC_BLOCK + 5,
+        simulator._METRIC_BLOCK + 1,
     ])
     def test_blocks_give_the_whole_column_bits(self, rows):
+        # Up to one block of steps, the one block sum is np.trapezoid's sum.
         trace = self.random_trace(rows, seed=rows)
         metrics, expected = compute_metrics(trace), self.whole_column_metrics(trace)
         assert metrics == expected
@@ -732,14 +733,39 @@ class TestComputeMetrics:
         if rows > 2:
             assert 0.0 < metrics.servo_saturation_fraction < 1.0
 
-    def test_paper_ltv_metrics_are_the_whole_column_bits(self):
-        trace, metrics = simulate(scenario_paper_ltv(t_span=(60.0, 70.0)))
-        assert len(trace.t) > simulator._METRIC_BLOCK
-        expected = self.whole_column_metrics(trace)
-        assert metrics == expected
-        assert self.float_bits(metrics) == self.float_bits(expected)
+    def test_a_full_block_is_summed_pairwise(self):
+        # Over this ramp's one block, np.trapezoid's pairwise sum is not the
+        # exactly rounded one; the block sum must be the former.
+        rows = simulator._METRIC_BLOCK + 1
+        t = 60.0 + 2e-4 * np.arange(rows)
+        trace = self.synthetic_trace(t, 1e-3 * np.arange(rows))
+        e = trace.x[:, 1]
+        assert float(np.trapezoid(e * e, t)) != exact_energy(e * e, t)
+        assert self.float_bits(compute_metrics(trace)) == \
+            self.float_bits(self.whole_column_metrics(trace))
 
-    def test_allocates_one_column_and_two_blocks(self):
+    @pytest.mark.parametrize("rows", [
+        simulator._METRIC_BLOCK + 2, 3 * simulator._METRIC_BLOCK + 5,
+    ])
+    def test_blocks_are_within_1e_15_of_the_exact_sums(self, rows):
+        trace = self.random_trace(rows, seed=rows)
+        assert_near_exact_metrics(compute_metrics(trace), trace)
+
+    def test_paper_ltv_metrics_are_within_1e_15_of_the_exact_sums(self):
+        trace, metrics = simulate(scenario_paper_ltv(t_span=(60.0, 70.0)))
+        assert len(trace.t) > simulator._METRIC_BLOCK + 1
+        assert_near_exact_metrics(metrics, trace)
+
+    def test_energy_past_a_double_is_inf(self):
+        # Each block's energy is finite, about 0.6 of the largest double;
+        # their exact total is not, so math.fsum overflows.
+        rows = 2 * simulator._METRIC_BLOCK + 1
+        t = np.arange(rows, dtype=float)
+        metrics = compute_metrics(self.synthetic_trace(t, np.full(rows, 5.7e151)))
+        assert metrics.rms_e == math.inf
+        assert metrics.max_abs_e == 5.7e151
+
+    def test_allocates_blocks_and_no_column(self):
         rows = 400_000
         trace = self.random_trace(rows, seed=0)
         compute_metrics(trace)  # first-call allocations are not the run's
@@ -752,8 +778,24 @@ class TestComputeMetrics:
         finally:
             tracemalloc.stop()
         block = 8 * (simulator._METRIC_BLOCK + 1)
-        # 16 KiB for the Python objects: the block slices, closures and peaks.
-        assert peak <= 8 * (rows - 1) + 2 * block + 16384
+        # Three blocks of trapezoid terms and two of temporaries; 16 KiB for
+        # the Python objects: the slices, the block sums and the peaks.
+        assert peak <= 5 * block + 16384
+
+
+def exact_energy(y, t) -> float:
+    """The exactly rounded sum of the trapezoid terms of y over t."""
+    return math.fsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)
+
+
+def assert_near_exact_metrics(metrics, trace, rate_limit=SERVO_RATE_LIMIT):
+    """The energy metrics within 1e-15 relative of exactly rounded sums; the rest exact."""
+    exact = TestComputeMetrics.whole_column_metrics(trace, rate_limit, integrate=exact_energy)
+    for name in ("rms_e", "rms_theta_err", "energy_ratio"):
+        value, expected = getattr(metrics, name), getattr(exact, name)
+        assert abs(value - expected) <= 1e-15 * abs(expected), (name, value, expected)
+    assert dataclasses.replace(metrics, rms_e=0.0, rms_theta_err=0.0, energy_ratio=0.0) == \
+        dataclasses.replace(exact, rms_e=0.0, rms_theta_err=0.0, energy_ratio=0.0)
 
 
 def trace_columns(trace: SimulationTrace) -> list:
@@ -873,6 +915,28 @@ class TestSimulateToCsv:
         assert forked_calls == ([] if workers == 1 else [workers])
         assert (tmp_path / "streamed.csv").read_bytes() == reference_csv(trace)
         assert metrics == compute_metrics(trace, scenario.servo_rate_limit)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [64, 100])
+    def test_metric_blocks_across_chunks_and_slots(self, tmp_path, monkeypatch, workers, block):
+        # 2000 steps in chunks of 32 and slots of 64 rows.  Blocks of 64 steps
+        # end at chunk starts and slot edges; blocks of 100 also mid-chunk,
+        # and the last of 20 blocks ends at tf.
+        scenario = scenario_paper_ltv(
+            t_span=(99.0, 101.0), dt=1e-3,
+            disturbances=DisturbanceSpec(channel1=(Noise(amplitude=0.05, seed=3, hold=1e-3),),
+                                         channel2=(Step(t0=100.0, amplitude=0.05),)),
+        )
+        monkeypatch.setattr(simulator, "_METRIC_BLOCK", block)
+        trace, metrics = simulate(scenario)
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", 32)
+        monkeypatch.setattr(simulator, "_worker_count", lambda: workers)
+        float_bits = TestComputeMetrics.float_bits
+        assert float_bits(stream(scenario, tmp_path / "trace.csv")) == float_bits(metrics)
+        assert float_bits(simulate(scenario)[1]) == float_bits(metrics)
+        assert float_bits(compute_metrics(trace, scenario.servo_rate_limit)) == \
+            float_bits(metrics)
+        assert_near_exact_metrics(metrics, trace, scenario.servo_rate_limit)
 
     @pytest.mark.parametrize("span", [
         (60.0, 60.001), (60.0, 60.064), (60.0, 60.065), (60.0, 60.127), (60.0, 60.128),
