@@ -97,7 +97,11 @@ class NonFiniteGain(ValueError):
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
+    """`value` as a float copy, at least 2-D: ValueError unless a finite numeric matrix."""
+    try:
+        mat = np.array(value, dtype=float, ndmin=2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a matrix of numbers: {exc}") from None
     if mat.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got ndim={mat.ndim}")
     if not np.all(np.isfinite(mat)):
@@ -262,11 +266,16 @@ def _stable_subspace_root(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> np.nda
     """
     n = A.shape[0]
     H = _hamiltonian(A, -G, -Q)
-    h_scale = np.linalg.norm(H, "fro")
-    if not math.isfinite(h_scale) and not np.all(np.isfinite(H)):
-        raise NoStabilizingSolution(
-            "G = BB' - gamma^-2 BwBw' is not finite: gamma^-2 BwBw' overflows at this level"
-        )
+    with np.errstate(over="ignore"):
+        h_scale = np.linalg.norm(H, "fro")
+    if not math.isfinite(h_scale):
+        if not np.all(np.isfinite(H)):
+            raise NoStabilizingSolution(
+                "G = BB' - gamma^-2 BwBw' is not finite: gamma^-2 BwBw' overflows at this level"
+            )
+        # Finite entries whose squares overflow: s ||H / s||_F with s = max |H|.
+        s = np.abs(H).max()
+        h_scale = s * np.linalg.norm(H / s, "fro")
     eigvals, eigvecs = np.linalg.eig(H)
 
     if np.any(np.abs(eigvals.real) < _AXIS_TOL * h_scale):

@@ -4,7 +4,9 @@ Synthesis freezes the plant at a design time, solves the Riccati equation
 at the chosen attenuation level, and extracts the state-feedback gain
 K = B' X; the control law is u = -K x with x = [int_e, e, v_z].  The gain
 is then applied unchanged to the time-varying plant (one operating point,
-time-varying evaluation).
+time-varying evaluation).  A DesignPoint resolves, where it is built, into
+the CareProblem that synthesize solves: a bad gamma, weighting or plant is
+refused there, not deep inside a later run.
 
 Two design points ship as defaults: the 100 s coefficients with gamma = 7.8
 and the 60 s coefficients with gamma = 20, mirroring the published study
@@ -78,11 +80,13 @@ REFERENCE_X_T60 = np.array(
 REFERENCE_GAIN_T60 = np.array([1.4141, 1.5804, 0.0024])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignPoint:
     """Frozen synthesis data: design time, attenuation level, coefficients, weighting.
 
-    C_perf (default MEASUREMENT_WEIGHT) is copied: the design point owns it.
+    It is checked once, where it is built, by resolving into `problem` (not a
+    field), the CareProblem that synthesize solves: its checks raise ValueError.
+    C_perf (default MEASUREMENT_WEIGHT) becomes that problem's own copy, `problem.C`.
     """
 
     t_design: float
@@ -91,13 +95,14 @@ class DesignPoint:
     C_perf: np.ndarray | None = None
 
     def __post_init__(self):
-        self.gamma = float(self.gamma)
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not isinstance(self.coeffs, DynamicCoefficients):
+            raise ValueError(f"coeffs must be DynamicCoefficients, got {self.coeffs!r}")
         C_perf = MEASUREMENT_WEIGHT if self.C_perf is None else self.C_perf
-        self.C_perf = np.array(C_perf, dtype=float, ndmin=2)
-        if self.C_perf.shape[1] != 3:
-            raise ShapeError("C_perf must have 3 columns (state weighting)")
+        plant = assemble_pitch_plant(self.coeffs)
+        problem = CareProblem(A=plant.A, B=plant.B, B_w=plant.B_w, C=C_perf, gamma=self.gamma)
+        object.__setattr__(self, "gamma", problem.gamma)
+        object.__setattr__(self, "C_perf", problem.C)
+        object.__setattr__(self, "problem", problem)
 
 
 @dataclass
@@ -142,11 +147,7 @@ def synthesize(design: DesignPoint) -> tuple[HinfSolution, ControllerGain]:
     unstable, which is reported as ClosedLoopUnstable rather than silently
     returned.
     """
-    plant = assemble_pitch_plant(design.coeffs)
-    problem = CareProblem(
-        A=plant.A, B=plant.B, B_w=plant.B_w, C=design.C_perf, gamma=design.gamma
-    )
-    solution = solve_care(problem)
+    solution = solve_care(design.problem)
     gain = ControllerGain(K=solution.K.copy())
     max_real = float(solution.closed_loop_eigs.real.max())
     if max_real >= 0.0:

@@ -189,8 +189,8 @@ class Noise:
     def __post_init__(self):
         if not self.hold > 0.0:
             raise ValueError("hold must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def values(self, t: np.ndarray) -> np.ndarray:
         idx = np.maximum(np.floor(t / self.hold + 1e-9).astype(int), 0)
@@ -274,7 +274,10 @@ class Scenario:
     servo_rate_limit: float = SERVO_RATE_LIMIT
 
     def __post_init__(self):
-        t0, tf = float(self.t_span[0]), float(self.t_span[1])
+        try:
+            t0, tf = map(float, self.t_span)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"t_span must be a pair (t0, tf), got {self.t_span!r}") from None
         if not (t0 < tf and math.isfinite(tf - t0)):
             raise ValueError(f"t_span must be finite with t0 < tf, got ({t0}, {tf})")
         dt = float(self.dt)
@@ -525,22 +528,26 @@ def _chunk_loop(scenario: Scenario, views):
         np.multiply(np.arange(first, end, dtype=float), dt, out=t)
         t += t0
         chunk_grid = _stage_grids(scenario, first, last)
-        if grid is None or not _same_bits(chunk_grid, grid):
-            grid = steps = None  # the old grid and rows go before the new rows are built
-            steps = _step_updates(dt, chunk_grid).tolist()
+        # An overflow in the step table or a draw makes the state non-finite,
+        # which the loop detects; a draw at tf reaches only the trace.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if grid is None or not _same_bits(chunk_grid, grid):
+                grid = steps = rows = None  # the old table goes before the new one is built
+                steps = _step_updates(dt, chunk_grid).tolist()
+            # Each primitive is elementwise in t (noise draws by index), so
+            # sampling per chunk gives the whole-run bits.
+            w = scenario.disturbances.sample_grid(t)
         grid, chunk_grid = chunk_grid, None
         _, qc, _, iqc = grid
         qc_nodes = qc[::2].tolist()
-        # Each primitive is elementwise in t (noise draws by index), so
-        # sampling per chunk gives the whole-run bits.
-        w = scenario.disturbances.sample_grid(t)
         w1_out[:], w2_out[:] = w[:, 0], w[:, 1]
-        w1_nodes = w[: last - first, 0].tolist()
-        w2_nodes = w[: last - first, 1].tolist()
+        w1_nodes, w2_nodes = w[:, 0].tolist(), w[:, 1].tolist()
         rec = ([], [], [], [], [], [])
         rec_x0, rec_x1, rec_x2, rec_delta, rec_u, rec_qmeas = (r.append for r in rec)
 
-        for row, qc_k, w1, w2 in zip(steps, qc_nodes, w1_nodes, w2_nodes):
+        # The last chunk also records tf, through a step past it on a repeated row.
+        rows = steps if end == last else [*steps, steps[-1]]
+        for row, qc_k, w1, w2 in zip(rows, qc_nodes, w1_nodes, w2_nodes):
             e_ch = (qc_k - g1) if use_gyro else x1
             u = -(k0 * x0 + k1g * e_ch + k2g * x2)
 
@@ -594,12 +601,9 @@ def _chunk_loop(scenario: Scenario, views):
                 diverged_at = t0 + (first + len(rec[0])) * dt
                 break
 
-        if diverged_at is None and last == n_steps:
-            # Final sample at tf.
-            e_ch = (qc_nodes[-1] - g1) if use_gyro else x1
-            for r, value in zip(rec, (x0, x1, x2, delta, -(k0 * x0 + k1g * e_ch + k2g * x2), g1)):
-                r.append(value)
         n_rows = len(rec[0])
+        if first + n_rows > n_steps:  # the step past tf is not the run's
+            diverged_at = None
         for out, values in zip((x0_out, x1_out, x2_out, delta_out, u_out, q_meas), rec):
             out[:n_rows] = values
         theta[:n_rows] = iqc[: 2 * n_rows : 2] - x0_out[:n_rows]
@@ -621,7 +625,7 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     t, theta, q, delta, u, q_meas = (np.empty(n_out) for _ in range(6))
     cols = (t, x[:, 0], x[:, 1], x[:, 2], theta, q, delta, u, w[:, 0], w[:, 1], q_meas)
     rows = 0
-    # The loop and its last chunk are gone before compute_metrics' scratch column is made.
+    # The loop and its last chunk are gone before compute_metrics' blocks are made.
     for n_rows, diverged_at in _chunk_loop(scenario, lambda a, b: [col[a:b] for col in cols]):
         rows += n_rows
     sl = slice(0, rows)

@@ -150,8 +150,11 @@ class CommandProfile:
         ts = np.array(times)
         qs = np.array([q for _, q in bps])
         # Integral of the clamped profile from the first breakpoint onward.
-        seg = 0.5 * (qs[1:] + qs[:-1]) * np.diff(ts)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg = 0.5 * (qs[1:] + qs[:-1]) * np.diff(ts)
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+        if not np.isfinite(cum).all():
+            raise ValueError("the command profile's integral overflows a double")
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_qs", qs)
         object.__setattr__(self, "_cum", cum)

@@ -144,6 +144,14 @@ class TestSolveCare:
             CareProblem(A=np.eye(2), B=np.ones((3, 1)), B_w=np.ones((2, 1)),
                         C=np.ones((1, 2)), gamma=1.0)
 
+    @pytest.mark.parametrize("entry", [[[1j]], 10**400, [[1.0], [1.0, 2.0]], "x"])
+    def test_entry_that_is_not_a_number_is_a_value_error(self, entry):
+        # 1j was a TypeError and 10**400 an OverflowError, both from numpy.
+        with pytest.raises(ValueError, match="B must be a matrix of numbers"):
+            CareProblem(A=[[-1.0]], B=entry, B_w=[[1.0]], C=[[1.0]], gamma=2.0)
+        with pytest.raises(ValueError, match="B_in must be a matrix of numbers"):
+            StateSpace(A=[[-1.0]], B_in=entry, C_out=[[1.0]], D_ff=[[0.0]])
+
     @pytest.mark.parametrize("name, entry", [("B B'", "B"), ("B_w B_w'", "B_w"), ("C'C", "C")])
     def test_gram_matrix_that_overflows_is_refused(self, name, entry):
         # Finite entries whose products overflow: the equation's terms would be inf.
@@ -160,6 +168,18 @@ class TestSolveCare:
                                    gamma=20.0))
         with pytest.raises(ValueError, match="B B' has non-finite entries"):
             gamma_search(plant.A, plant.B, plant.B_w, MEASUREMENT_WEIGHT, (1e-3, 1e6))
+
+    def test_hamiltonian_whose_norm_overflows_is_decided_on_its_spectrum(self):
+        # Finite entries whose Frobenius norm overflows: ||H||_F read inf, so
+        # every eigenvalue passed the relative axis test unlooked at.  The
+        # eigenvalues here are about -+1e160, far from the axis; the scaled
+        # norm lets the level go on to its residual check, which refuses it.
+        problem = CareProblem(A=np.diag([-1e160, -2e160]), B=np.eye(2), B_w=np.zeros((2, 1)),
+                              C=np.eye(2), gamma=math.inf)
+        with pytest.raises(NoStabilizingSolution) as excinfo:
+            solve_care(problem)
+        assert "imaginary axis" not in str(excinfo.value)
+        assert "residual" in str(excinfo.value)
 
 
 class TestCareResidual:

@@ -366,6 +366,7 @@ class TestMalformedConfig:
         ("gamma-search", {"design": {"t": 100, "gamma": 7.8, "weight": [[0, -1e308, 0]]}}),
         ("synthesize", {"design": DESIGN, "schedule_csv": "overflow.csv"}),
         ("simulate", dict(SHORT_LTI, design=DESIGN, schedule_csv="overflow.csv")),
+        ("simulate", {"scenario": "paper-lti", "t_span": [60.0, 61.0, 62.0]}),
     ])
     def test_exits_2(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)  # where the relative "overflow.csv" is read

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -14,9 +18,11 @@ from hinf_autopilot.care_solver import (
     NoStabilizingSolution,
     ShapeError,
     care_residual,
+    solve_care,
 )
 from hinf_autopilot.controller import (
     MEASUREMENT_WEIGHT,
+    DesignPoint,
     REFERENCE_GAIN_T60,
     REFERENCE_X_T60,
     REFERENCE_X_T100,
@@ -33,7 +39,7 @@ from hinf_autopilot.controller import (
 from hinf_autopilot.simulator import (
     DisturbanceSpec, Sine, scenario_paper_lti, scenario_paper_ltv, simulate,
 )
-from hinf_autopilot.vehicle_model import assemble_pitch_plant
+from hinf_autopilot.vehicle_model import PITCH_COEFFS_T60, assemble_pitch_plant
 
 
 X_T60_STR = (
@@ -241,3 +247,39 @@ class TestDesignPoint:
     def test_weight_shape_validation(self):
         with pytest.raises(ShapeError):
             design_point_t60(C_perf=np.eye(2))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(C_perf=[[0.0, math.nan, 0.0]]), "C contains non-finite entries"),
+        (dict(C_perf=[[0.0, 1e200, 0.0]]), "C'C has non-finite entries"),
+        (dict(C_perf=[[0.0, 1.0], [0.0]]), "C must be a matrix of numbers"),
+        (dict(C_perf={"a": 1.0}), "C must be a matrix of numbers"),
+        (dict(coeffs=5), "coeffs must be DynamicCoefficients"),
+    ])
+    def test_is_checked_at_construction(self, fields, message):
+        # Each was accepted, and failed later inside synthesize or simulate.
+        # The overflowing plant is TestSimulate's b_bt case.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DesignPoint(**{"t_design": 60.0, "gamma": 20.0, "coeffs": PITCH_COEFFS_T60,
+                           **fields})
+
+    def test_resolves_its_care_problem_once(self):
+        # `problem` is not a field: it is the plant at the design point with
+        # the weighting and gamma, and synthesize solves it.
+        design = design_point_t60()
+        plant = assemble_pitch_plant(design.coeffs)
+        problem = design.problem
+        assert isinstance(problem, CareProblem) and problem.gamma == design.gamma == 20.0
+        for got, expected in ((problem.A, plant.A), (problem.B, plant.B),
+                              (problem.B_w, plant.B_w), (problem.C, design.C_perf)):
+            assert np.array_equal(got, expected)
+        assert "problem" not in {f.name for f in dataclasses.fields(design)}
+        assert np.array_equal(synthesize(design)[0].X, solve_care(problem).X)
+
+    def test_fields_cannot_skip_the_checks(self):
+        design = design_point_t60()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            design.gamma = -1.0
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            dataclasses.replace(design, gamma=-1.0)
+        changed = dataclasses.replace(design, gamma=30.0)
+        assert changed.problem.gamma == 30.0 and design.problem.gamma == 20.0

@@ -4,8 +4,9 @@ One valid base config per subcommand (and one schedule and one command
 profile CSV) is mutated with stdlib `random`: one or two of its values are
 set to an odd value, or deleted, or one or two CSV cells are replaced.  Each
 case runs through `cli.main` in process.  It must return 0, 2, 3 or 4 and
-raise nothing, and a failure writes one `error=<code>:` line: exit 2 writes
-`error=config-error:`.  The public constructors either build or raise
+raise nothing, a numpy RuntimeWarning included.  A failure writes only its
+one `error=<code>:` line to stderr (exit 2 writes `error=config-error:`), and
+a success writes nothing there.  The public constructors either build or raise
 ValueError on the same odd values.  The inputs that once escaped as a
 traceback are named regression cases below the fuzzer.
 """
@@ -16,6 +17,7 @@ import copy
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -144,7 +146,7 @@ def run_case(capsys, argv) -> str | None:
         return f"raised {type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
     if status == EXIT_OK:
-        return None
+        return f"exit 0 wrote {err!r}" if err else None
     if status not in STATUS:
         return f"returned {status!r}"
     lines = err.splitlines()
@@ -185,10 +187,12 @@ def test_every_mutated_input_exits_0_2_3_or_4(tmp_path, capsys, monkeypatch, see
     monkeypatch.setattr(simulator, "MAX_STEPS", FUZZ_MAX_STEPS)
     rng = random.Random(seed)
     findings = []
-    for argv, what in fuzz_cases(rng, tmp_path, n_config=80, n_cells=40):
-        finding = run_case(capsys, argv)
-        if finding is not None:
-            findings.append(f"{what}: {finding}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning escapes as a finding
+        for argv, what in fuzz_cases(rng, tmp_path, n_config=80, n_cells=40):
+            finding = run_case(capsys, argv)
+            if finding is not None:
+                findings.append(f"{what}: {finding}")
     assert findings == []
 
 
@@ -238,7 +242,8 @@ def constructors(rng: random.Random):
     yield "DesignPoint", lambda f=with_one(design, ("C_perf",)): controller.DesignPoint(**f)
     span = [60.0, 61.0]
     span[rng.randrange(2)] = odd()
-    for fields in (dict(scenario, t_span=tuple(span)), dict(scenario, dt=odd()),
+    for fields in (dict(scenario, t_span=tuple(span)), dict(scenario, t_span=(odd(),)),
+                   dict(scenario, t_span=(60.0, 61.0, odd())), dict(scenario, dt=odd()),
                    dict(scenario, servo_tau=odd()), dict(scenario, servo_rate_limit=odd())):
         yield "Scenario", lambda f=fields: simulator.Scenario(**f)
 
@@ -361,3 +366,26 @@ class TestStateSpaceWhoseProductsOverflow:
         status, _, err = run("norm", config={"system": dict(A=self.A, **self.CASES[name])})
         assert status == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("error=config-error: ")
+
+
+class TestOverflowFoundByMoreSeeds:
+    """Inputs found by fuzz seeds past the nine above: each warned, and now writes one line."""
+
+    def test_sine_whose_argument_overflows_exits_4(self, run):
+        status, _, err = run("simulate", config={
+            "scenario": "paper-lti", "t_span": [60, 60.01], "dt": 1e-3,
+            "disturbances": {"channel1": [{"type": "sine", "amplitude": 0.02,
+                                           "frequency": 1e308}]}})
+        assert status == EXIT_DIVERGED
+        assert err.count("\n") == 1 and err.startswith("error=simulation-diverged: ")
+
+    def test_profile_whose_integral_overflows_exits_2(self, run, tmp_path):
+        # Was exit 4: the command's integral was inf, so the first step diverged.
+        profile = tmp_path / "profile.csv"
+        profile.write_text("t,qc_deg_per_s\n-1e200,0.0\n2.0,1e308\n")
+        status, _, err = run("simulate", config={
+            "scenario": "paper-lti", "t_span": [60, 60.01], "dt": 1e-3,
+            "profile_csv": str(profile)})
+        assert status == EXIT_CONFIG
+        assert err == ("error=config-error: profile_csv: "
+                       "the command profile's integral overflows a double\n")

@@ -244,6 +244,12 @@ class TestDisturbanceSample:
         with pytest.raises(ValueError, match="hold"):
             Noise(amplitude=0.1, seed=1, hold=hold)
 
+    @pytest.mark.parametrize("seed", [1.9, True, 3.0, -1])
+    def test_noise_seed_must_be_a_non_negative_int(self, seed):
+        # A float seed built and then raised TypeError from numpy when sampled.
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            Noise(amplitude=0.1, seed=seed)
+
     def test_noise_window_equals_full_stream_slice(self):
         # A window that starts late draws only its own samples; they must
         # equal the same indices of the whole seeded stream.
@@ -441,14 +447,22 @@ class TestSimulate:
         with pytest.raises(SynthesisFailed):
             simulate(quiet_scenario(design=design_point_t60(gamma=1e-6)))
 
-    def test_plant_whose_b_bt_overflows_is_a_value_error(self, tmp_path):
-        # Was a LinAlgError from the Riccati solver's eigensolver.
+    def test_plant_whose_b_bt_overflows_is_a_value_error(self):
+        # Was a LinAlgError from the Riccati solver's eigensolver; the design
+        # point now refuses it where it is built, before any scenario runs.
         coeffs = dataclasses.replace(PITCH_COEFFS_T60, M_delta=-1e200)
-        scenario = quiet_scenario(design=DesignPoint(t_design=60.0, gamma=20.0, coeffs=coeffs))
         with pytest.raises(ValueError, match="B B' has non-finite entries"):
-            simulate(scenario)
-        with pytest.raises(ValueError, match="B B' has non-finite entries"):
-            stream(scenario, tmp_path / "trace.csv")
+            DesignPoint(t_design=60.0, gamma=20.0, coeffs=coeffs)
+
+    def test_a_disturbance_past_a_double_at_tf_only_keeps_the_run(self, tmp_path):
+        # The tf row is recorded by the loop body, which then steps past tf on
+        # an inf disturbance: that step is not the run's, and the run ends.
+        disturbances = DisturbanceSpec(channel1=(Step(t0=60.0095, amplitude=math.inf),))
+        scenario = quiet_scenario(t_span=(60.0, 60.01), disturbances=disturbances)
+        trace, metrics = simulate(scenario)
+        assert len(trace.t) == 11 and trace.w[-1, 0] == math.inf
+        assert np.isfinite(trace.x).all() and not trace.w[:-1].any()
+        assert stream(scenario, tmp_path / "trace.csv") == metrics
 
     def test_energy_ratio_bounded_by_level(self):
         scenario = quiet_scenario(
@@ -1042,6 +1056,12 @@ class TestScenarioValidation:
     def test_span_of_whole_steps(self, t_span, dt):
         with pytest.raises(ValueError, match="t_span"):
             quiet_scenario(t_span=t_span, dt=dt)
+
+    @pytest.mark.parametrize("t_span", [(60.0,), (60.0, 61.0, 62.0), 60.0, (None, 61.0)])
+    def test_span_that_is_not_a_pair_of_numbers(self, t_span):
+        # (60, 61, 62) was cut to (60, 61), and (60,) raised IndexError.
+        with pytest.raises(ValueError, match="t_span must be a pair"):
+            quiet_scenario(t_span=t_span)
 
     def test_span_whose_step_count_overflows(self):
         # 1e308 s is a finite span, but its step count is inf: round() would raise

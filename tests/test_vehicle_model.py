@@ -286,6 +286,11 @@ class TestCommandProfile:
         assert profile.rate_integral(np.array([-2.0]))[0] == -0.5
         assert not recwarn.list
 
+    def test_integral_past_a_double_is_refused(self):
+        # Its running integral was inf, so a run on it diverged at its first step.
+        with pytest.raises(ValueError, match="integral overflows a double"):
+            CommandProfile(((-1e200, 0.0), (2.0, math.radians(1e308))))
+
     def test_derivative_piecewise(self):
         profile = CommandProfile(((0.0, 0.0), (10.0, 1.0), (20.0, 1.0)))
         assert profile.rate_derivative(5.0) == pytest.approx(0.1)
