@@ -97,8 +97,14 @@ class NonFiniteGain(ValueError):
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    """`value` as a float copy, at least 2-D: ValueError unless a finite numeric matrix."""
+    """`value` as a float copy, at least 2-D: ValueError unless a finite numeric matrix.
+
+    A string or boolean entry is refused, though numpy would convert it.
+    """
     try:
+        for entry in np.array(value, dtype=object).flat:
+            if isinstance(entry, (str, bytes, bool, np.bool_)):
+                raise TypeError(f"{entry!r} is not a number")
         mat = np.array(value, dtype=float, ndmin=2)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be a matrix of numbers: {exc}") from None

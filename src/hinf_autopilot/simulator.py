@@ -30,15 +30,15 @@ integral of q_c on its half-step grid) have the same bits as the previous
 chunk's steps through the previous chunk's rows: the table is a pure
 function of those inputs, so the trace is the same.
 
-`simulate` gives the loop views of the whole trace, and compute_metrics
-then sums it in blocks of 32768 steps.  Its peak memory is the trace (88
-bytes a step) and one chunk of about 3 MB: under tracemalloc, a 20 k-step
-paper-ltv run peaks 3.0 MB above its 1.76 MB trace.  `simulate_to_csv`,
-the CLI's path, gives it the slots of a ring in shared memory instead,
-which `_fan_out`'s forked workers format into CSV text while the next slot
-fills, and sums the metrics' blocks as the chunks come: it holds one
-block of trapezoid terms (0.8 MB) and about 7 MB of rings with two
-workers, never a full-length column.
+The loop sums the metrics of both `simulate` and `simulate_to_csv`: it adds
+each chunk's rows to a `_RunSums`, which copies the last row for the step
+into the next chunk and holds one block of 32768 steps' trapezoid terms
+(0.8 MB).  `simulate` gives the loop views of the whole trace: its peak is
+the trace (88 bytes a step), that block and one chunk of about 3 MB.
+`simulate_to_csv`, the CLI's path, gives it the slots of a ring in shared
+memory instead, each only its own rows, which `_fan_out`'s forked workers
+format into CSV text while the next slot fills: it holds about 7 MB of
+rings with two workers, never a full-length column.
 
 Each disturbance primitive owns its formula, `values(t)`, which
 `sample_grid` sums per channel.
@@ -120,8 +120,8 @@ class NonFiniteState(RuntimeError):
 
     Attributes:
         time: first time at which a non-finite value appeared.
-        trace: partial trace up to the last finite sample; None from
-            `simulate_to_csv`, which holds no whole trace.
+        trace: partial trace up to the last finite sample, from `simulate`;
+            None from the chunk loop and `simulate_to_csv`, which hold no trace.
     """
 
     def __init__(self, time: float, trace: "SimulationTrace | None"):
@@ -486,12 +486,13 @@ def _same_bits(a: tuple, b: tuple) -> bool:
     )
 
 
-def _chunk_loop(scenario: Scenario, views):
+def _chunk_loop(scenario: Scenario, views, sums: _RunSums):
     """Synthesize the gain and step the loop, writing each chunk's rows into `views(first, end)`.
 
     `views(first, end)` gives the 11 writable float64 columns of rows
-    first..end-1 in the CSV's order.  Yields (rows written, divergence time
-    or None) once per chunk; a chunk whose state became non-finite is the last.
+    first..end-1 in the CSV's order.  Each chunk's rows are added to `sums`,
+    then their count is yielded; after a chunk whose state became non-finite
+    it raises NonFiniteState, with no trace.
     """
     try:
         _, gain = synthesize(scenario.design)
@@ -608,9 +609,11 @@ def _chunk_loop(scenario: Scenario, views):
             out[:n_rows] = values
         theta[:n_rows] = iqc[: 2 * n_rows : 2] - x0_out[:n_rows]
         q[:n_rows] = qc[: 2 * n_rows : 2] - x1_out[:n_rows]
-        yield n_rows, diverged_at
+        with np.errstate(over="ignore"):  # the rows of a run that diverges later
+            sums.add(*(col[:n_rows] for col in (t, x0_out, x1_out, delta_out, w1_out, w2_out)))
+        yield n_rows
         if diverged_at is not None:
-            return
+            raise NonFiniteState(diverged_at, None)
 
 
 def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
@@ -624,18 +627,17 @@ def simulate(scenario: Scenario) -> tuple[SimulationTrace, Metrics]:
     x, w = np.empty((n_out, 3)), np.empty((n_out, 2))
     t, theta, q, delta, u, q_meas = (np.empty(n_out) for _ in range(6))
     cols = (t, x[:, 0], x[:, 1], x[:, 2], theta, q, delta, u, w[:, 0], w[:, 1], q_meas)
-    rows = 0
-    # The loop and its last chunk are gone before compute_metrics' blocks are made.
-    for n_rows, diverged_at in _chunk_loop(scenario, lambda a, b: [col[a:b] for col in cols]):
-        rows += n_rows
-    sl = slice(0, rows)
-    trace = SimulationTrace(
-        t=t[sl], x=x[sl], theta=theta[sl], q=q[sl], delta=delta[sl], u=u[sl], w=w[sl],
-        q_meas=q_meas[sl],
-    )
-    if diverged_at is not None:
-        raise NonFiniteState(diverged_at, trace)
-    return trace, compute_metrics(trace, scenario.servo_rate_limit)
+    sums, rows = _RunSums(scenario.servo_rate_limit), 0
+
+    def trace() -> SimulationTrace:
+        return SimulationTrace(*(col[:rows] for col in (t, x, theta, q, delta, u, w, q_meas)))
+
+    try:
+        for n_rows in _chunk_loop(scenario, lambda a, b: [col[a:b] for col in cols], sums):
+            rows += n_rows
+    except NonFiniteState as exc:
+        raise NonFiniteState(exc.time, trace()) from None
+    return trace(), sums.metrics()
 
 
 #: Steps per block of the energy sums: a run's metrics hold one block of
@@ -648,8 +650,8 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
 
     The attitude error theta - int q_c is -int_e (the first state), since
     theta = int q_c - int_e.  The servo saturation fraction counts steps
-    whose deflection change hits the rate bound `rate_limit` (rad/s;
-    `simulate` passes the scenario's servo_rate_limit); energy_ratio is the
+    whose deflection change hits the rate bound `rate_limit` (rad/s; a
+    run's metrics use the scenario's servo_rate_limit); energy_ratio is the
     tracking-error output energy over the disturbance energy (zero when the
     run had no disturbance).
 
@@ -666,7 +668,7 @@ def compute_metrics(trace: SimulationTrace, rate_limit: float = SERVO_RATE_LIMIT
 
 
 class _RunSums:
-    """The Metrics of a run added in order, in pieces that start with the last row before.
+    """The Metrics of a run added in consecutive pieces; a copy of the last row gives the step.
 
     The energies of e, int_e and w1^2 + w2^2 are summed in blocks counted
     from the run's first step, so the pieces do not show; a blocked sum is at
@@ -674,15 +676,25 @@ class _RunSums:
     """
 
     def __init__(self, rate_limit: float):
-        self.rate_limit = rate_limit
+        self.rate_limit, self.max_step, self.last = rate_limit, None, None
         self.terms, self.filled, self.block_sums = np.empty((3, _METRIC_BLOCK)), 0, []
-        self.t_first, self.saturated, self.max_abs_e, self.max_abs_delta = None, 0, 0.0, 0.0
+        self.saturated, self.max_abs_e, self.max_abs_delta = 0, 0.0, 0.0
 
-    def add(self, t, int_e, e, delta, w1, w2) -> None:
-        if self.t_first is None:
-            self.t_first = t[0]
-            self.max_step = self.rate_limit * (float(t[1] - t[0]) if len(t) > 1 else 1.0)
-        self.t_last, last = t[-1], len(t) - 1
+    def add(self, *piece) -> None:
+        """Add the run's next rows: their t, int_e, e, delta, w1 and w2."""
+        if self.last is None:
+            self.t_first = piece[0][0]
+        else:  # the step from the last row added
+            piece = [np.concatenate((row, column)) for row, column in zip(self.last, piece)]
+        self.last = [column[-1:].copy() for column in piece]  # the caller reuses its buffers
+        t, int_e, e, delta, w1, w2 = piece
+        if len(t) == 1:  # the run's first row, alone
+            self.max_abs_e = np.maximum(self.max_abs_e, np.abs(e[0]))
+            self.max_abs_delta = np.maximum(self.max_abs_delta, np.abs(delta[0]))
+            return
+        if self.max_step is None:
+            self.max_step = self.rate_limit * float(t[1] - t[0])
+        last = len(t) - 1
         ends = range(_METRIC_BLOCK - self.filled, last, _METRIC_BLOCK)  # rows ending a block
         for a, b in zip([0, *ends], [*ends, last]):
             rows = slice(a, b + 1)
@@ -702,7 +714,7 @@ class _RunSums:
     def metrics(self) -> Metrics:
         partial = [float(row.sum()) for row in self.terms[:, :self.filled]]
         e_energy, theta_energy, w_energy = map(_fsum, zip(*self.block_sums, partial))
-        span = float(self.t_last - self.t_first)
+        span = float(self.last[0][0] - self.t_first)
         steps = len(self.block_sums) * _METRIC_BLOCK + self.filled
         return Metrics(
             rms_e=math.sqrt(e_energy / span) if span > 0 else 0.0,
@@ -815,19 +827,17 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
     """Run the scenario as `simulate` does, writing its trace CSV to the binary `handle`.
 
     The bytes and metrics are `simulate`'s, but the trace is never held:
-    the chunks' rows go into the slots of a ring in shared memory, which
-    `_fan_out`'s workers format into a text ring while the next slot fills.
-    The metrics are compute_metrics', summed as the chunks come in the same
-    fixed blocks of _METRIC_BLOCK steps, so they keep one block of terms and
-    one sum a block: bitwise `simulate`'s, whatever the chunks, slots and
+    the chunks' rows go into the slots of a ring in shared memory, each slot
+    its own rows only, which `_fan_out`'s workers format into a text ring
+    while the next slot fills.  The metrics are summed in the chunk loop, as
+    for `simulate`: bitwise compute_metrics', whatever the chunks, slots and
     workers, and within about an ulp of np.trapezoid over the whole column.
     Raises as `simulate` does, but the trace of a NonFiniteState is None.
     """
     workers = _worker_count()
     n_slots = workers * _BLOCKS_PER_WORKER + 1  # one more than _fan_out keeps in flight
     rows = _SLOT_CHUNKS * _STEP_CHUNK  # a slot's rows; the last slot also has tf
-    # Row 0 of a slot is the previous slot's last row, for the metrics' first step.
-    ring = np.frombuffer(mmap.mmap(-1, n_slots * 11 * (rows + 2) * 8)).reshape(n_slots, 11, -1)
+    ring = np.frombuffer(mmap.mmap(-1, n_slots * 11 * (rows + 1) * 8)).reshape(n_slots, 11, -1)
     # A value's repr has at most 24 characters ("-1.2345678901234567e-308"), then a separator.
     text_size = 11 * 25 * (rows + 1)
     texts = mmap.mmap(-1, n_slots * text_size)
@@ -835,28 +845,19 @@ def simulate_to_csv(scenario: Scenario, handle) -> Metrics:
 
     def views(first: int, end: int):
         k, offset = divmod(first, rows)
-        if offset == 0:
-            ring[k % n_slots, :, 0] = ring[(k - 1) % n_slots, :, rows]
-        return ring[k % n_slots, :, offset + 1:offset + 1 + end - first]
+        return ring[k % n_slots, :, offset:offset + end - first]
 
     def slots():
         end = 0
-        for n_rows, diverged_at in _chunk_loop(scenario, views):
-            if diverged_at is not None:
-                raise NonFiniteState(diverged_at, None)
+        for n_rows in _chunk_loop(scenario, views, sums):
             first, end = end, end + n_rows
-            slot, offset = first // rows % n_slots, first % rows
-            t, int_e, e, _, _, _, delta, _, w1, w2, _ = ring[slot, :, offset + (first == 0):
-                                                             offset + n_rows + 1]
-            with np.errstate(over="ignore"):  # the rows of a run that diverges later
-                sums.add(t, int_e, e, delta, w1, w2)
-            if end % rows == 0 or end > scenario.n_steps:
-                yield slot, end - (first - offset)
+            if end % rows == 0 or end > scenario.n_steps:  # a full slot, or the last
+                yield first // rows % n_slots, end - first // rows * rows
 
     def format_slot(item) -> int:
         # The text stays in the slot's share of `texts`: only its length is sent back.
         slot, n_rows = item
-        block = _format_block(ring[slot, :, 1:n_rows + 1])
+        block = _format_block(ring[slot, :, :n_rows])
         texts[slot * text_size:slot * text_size + len(block)] = block
         return len(block)
 

@@ -144,13 +144,23 @@ class TestSolveCare:
             CareProblem(A=np.eye(2), B=np.ones((3, 1)), B_w=np.ones((2, 1)),
                         C=np.ones((1, 2)), gamma=1.0)
 
-    @pytest.mark.parametrize("entry", [[[1j]], 10**400, [[1.0], [1.0, 2.0]], "x"])
+    @pytest.mark.parametrize("entry", [
+        [[1j]], 10**400, [[1.0], [1.0, 2.0]], "x", [["1"]], [[True]], [[0, True, 0]],
+    ])
     def test_entry_that_is_not_a_number_is_a_value_error(self, entry):
-        # 1j was a TypeError and 10**400 an OverflowError, both from numpy.
+        # 1j was a TypeError and 10**400 an OverflowError, both from numpy;
+        # numpy would convert "1" and True to floats.
         with pytest.raises(ValueError, match="B must be a matrix of numbers"):
             CareProblem(A=[[-1.0]], B=entry, B_w=[[1.0]], C=[[1.0]], gamma=2.0)
         with pytest.raises(ValueError, match="B_in must be a matrix of numbers"):
             StateSpace(A=[[-1.0]], B_in=entry, C_out=[[1.0]], D_ff=[[0.0]])
+
+    @pytest.mark.parametrize("entry", [[[1]], np.array([[1.0]]), np.array([[1]], dtype=np.int64)])
+    def test_int_and_numpy_float_entries_are_accepted(self, entry):
+        problem = CareProblem(A=[[-1]], B=entry, B_w=[[1.0]], C=[[1.0]], gamma=2.0)
+        system = StateSpace(A=[[-1]], B_in=entry, C_out=[[1.0]], D_ff=[[0]])
+        assert problem.B.dtype == system.B_in.dtype == float
+        assert problem.B.tolist() == system.B_in.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("name, entry", [("B B'", "B"), ("B_w B_w'", "B_w"), ("C'C", "C")])
     def test_gram_matrix_that_overflows_is_refused(self, name, entry):

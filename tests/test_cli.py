@@ -347,6 +347,7 @@ class TestMalformedConfig:
         ("simulate", {"scenario": ["paper-lti"]}),
         ("simulate", {"scenario": "paper-lti", "feedback": {"gyro": 1}}),
         ("synthesize", {"design": dict(DESIGN, weight=[[0, float("nan"), 0]])}),
+        ("synthesize", {"design": dict(DESIGN, weight=[[0, "1", 0]])}),
         ("synthesize", {"design": dict(DESIGN, weight=[[[0, 1, 0]] * 3])}),
         ("synthesize", {"design": dict(DESIGN, gamma=float("inf"))}),
         ("gamma-search", {"design": DESIGN, "tol": "small"}),

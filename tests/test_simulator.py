@@ -770,6 +770,31 @@ class TestComputeMetrics:
         assert len(trace.t) > simulator._METRIC_BLOCK + 1
         assert_near_exact_metrics(metrics, trace)
 
+    def test_consecutive_pieces_give_the_whole_trace_bits(self):
+        # Over two block ends, in pieces from a seeded split: a one-row first
+        # piece, more one-row pieces, pieces across the block ends and an empty
+        # piece after each.  Each piece is a buffer overwritten once it is
+        # added, as a ring slot is.
+        rows = 2 * simulator._METRIC_BLOCK + 100
+        trace = self.random_trace(rows, seed=5)
+        cuts = np.random.default_rng(5).choice(np.arange(2, rows - 1), 30, replace=False)
+        pieces = np.split(np.arange(rows), np.unique(np.concatenate([[1], cuts, cuts + 1])))
+        assert len(pieces[0]) == 1 and sum(len(piece) == 1 for piece in pieces) > 30
+        for end in (simulator._METRIC_BLOCK, 2 * simulator._METRIC_BLOCK):
+            assert any(piece[0] < end < piece[-1] for piece in pieces)
+        pieces = [part for piece in pieces for part in (piece, piece[:0])]
+        sums = simulator._RunSums(SERVO_RATE_LIMIT)
+        columns = (trace.t, trace.x[:, 0], trace.x[:, 1], trace.delta, trace.w[:, 0],
+                   trace.w[:, 1])
+        for piece in pieces:
+            buffers = [column[piece].copy() for column in columns]
+            sums.add(*buffers)
+            for buffer in buffers:
+                buffer.fill(math.nan)
+        metrics = sums.metrics()
+        assert 0.0 < metrics.servo_saturation_fraction < 1.0
+        assert self.float_bits(metrics) == self.float_bits(compute_metrics(trace))
+
     def test_energy_past_a_double_is_inf(self):
         # Each block's energy is finite, about 0.6 of the largest double;
         # their exact total is not, so math.fsum overflows.
@@ -966,6 +991,21 @@ class TestSimulateToCsv:
         trace, metrics = simulate(scenario)
         assert stream(scenario, tmp_path / "streamed.csv") == metrics
         assert (tmp_path / "streamed.csv").read_bytes() == reference_csv(trace)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_saturating_run_in_small_chunks_has_the_metrics_of_simulate(self, tmp_path,
+                                                                          monkeypatch, chunk):
+        # 200 steps whose servo hits its rate bound on most of them.  The
+        # bound is rate_limit * dt, with dt read from the run's first step,
+        # which a first chunk of one row does not hold.
+        scenario = scenario_paper_ltv(t_span=(60.0, 60.2), dt=1e-3,
+                                      disturbances=DisturbanceSpec(channel2=(Step(60.0, 5.0),)))
+        trace, metrics = simulate(scenario)
+        assert metrics.servo_saturation_fraction > 0.5
+        monkeypatch.setattr(simulator, "_STEP_CHUNK", chunk)
+        assert stream(scenario, tmp_path / "trace.csv") == metrics
+        assert simulate(scenario)[1] == metrics
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace)
 
     def test_run_within_one_slot_is_formatted_in_process(self, tmp_path, monkeypatch,
                                                           forked_calls):
